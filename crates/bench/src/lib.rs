@@ -1,7 +1,7 @@
 //! # cfr-bench
 //!
 //! The reproduction harness: one binary per table/figure of the paper's
-//! evaluation (see `DESIGN.md` §4 for the experiment index), plus criterion
+//! evaluation (see "Reproducing the paper" in `README.md`), plus criterion
 //! microbenchmarks of the substrate (not auto-discovered offline, see
 //! `vendor/README.md`).
 //!
@@ -88,9 +88,9 @@ pub fn pct(x: f64) -> String {
 
 /// Builds the engine every experiment binary shares, backed by the
 /// machine-wide persistent artifact store (`$CFR_STORE_DIR`, default
-/// `target/cfr-store`): a run simulated, a program generated, or a walk
-/// measured by *any* binary — or an earlier invocation of this one — is
-/// served from disk instead of being recomputed. If the store directory
+/// `target/cfr-store`): a run simulated or a walk measured by *any*
+/// binary — or an earlier invocation of this one — is served from disk
+/// instead of being recomputed. If the store directory
 /// cannot be created the binary still runs, just without cross-process
 /// caching.
 #[must_use]

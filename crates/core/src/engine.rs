@@ -30,15 +30,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use cfr_types::{
-    AddressingMode, PageGeometry, RecordError, RecordReader, RecordWriter, NS_PROGRAMS,
-    NS_SCENARIOS, NS_TRACES, NS_WALKS,
+    AddressingMode, PageGeometry, RecordError, RecordReader, RecordWriter, NS_SCENARIOS, NS_WALKS,
 };
 use cfr_workload::{
-    measure_walk, program_store_key, trace_store_key, walk_store_key, BenchmarkProfile,
-    CompiledTrace, LaidProgram, Program, ProgramCache, TraceCache, WalkMeasurement,
+    compile_trace, measure_walk, walk_store_key, BenchmarkProfile, CompiledTrace, LaidProgram,
+    Program, ProgramCache, WalkMeasurement,
 };
 use rayon::prelude::*;
 
@@ -54,6 +53,15 @@ use crate::strategy::StrategyKind;
 /// whether the SoLA in-page marking pass ran. Strategies within a class
 /// execute the *same* binary, so the engine compiles it once.
 type LaidKey = (&'static str, u64, bool, bool);
+
+/// One memoized compiled binary: the laid-out program, plus its
+/// pre-decoded trace once the compiled execution backend first asks for
+/// it (interpreter-only sessions never compile a trace).
+#[derive(Debug)]
+struct Binary {
+    laid: Arc<LaidProgram>,
+    trace: OnceLock<Arc<CompiledTrace>>,
+}
 
 /// The identity of one simulation run. Two runs with equal keys produce
 /// bit-identical [`RunReport`]s, which is what makes engine-level
@@ -217,13 +225,11 @@ impl RunKey {
 pub struct Engine {
     profiles: Vec<BenchmarkProfile>,
     programs: ProgramCache,
-    /// Memoized compiled binaries (layout + instrumentation + marking):
-    /// one compilation per [`LaidKey`] no matter how many (strategy,
-    /// mode, iTLB) runs execute it.
-    laid: Mutex<HashMap<LaidKey, Arc<LaidProgram>>>,
-    /// Memoized pre-decoded traces for the compiled execution backend
-    /// (`traces` store namespace; warm across processes like `programs`).
-    traces: TraceCache,
+    /// Memoized compiled binaries (layout + instrumentation + marking,
+    /// and the trace compiled from them): one compilation per
+    /// [`LaidKey`] no matter how many (strategy, mode, iTLB) runs
+    /// execute it.
+    laid: Mutex<HashMap<LaidKey, Arc<Binary>>>,
     state: Mutex<EngineState>,
     /// Signalled whenever results land or in-flight claims are released,
     /// so concurrent `run_many` callers waiting on another batch's keys
@@ -264,11 +270,6 @@ pub struct StoreSummary {
     pub runs: NamespaceTraffic,
     /// Functional walk measurements (`walks`).
     pub walks: NamespaceTraffic,
-    /// Generated programs (`programs`).
-    pub programs: NamespaceTraffic,
-    /// Pre-decoded execution traces (`traces`). Cold = compiled in this
-    /// process; all zero under the interpreter backend.
-    pub traces: NamespaceTraffic,
     /// Multiprogrammed scenario reports (`scenarios`); all zero unless
     /// [`Engine::run_scenarios`] was used.
     pub scenarios: NamespaceTraffic,
@@ -325,7 +326,6 @@ impl Engine {
             profiles,
             programs: ProgramCache::new(),
             laid: Mutex::new(HashMap::new()),
-            traces: TraceCache::new(),
             state: Mutex::new(EngineState::default()),
             resolved: Condvar::new(),
             simulated: AtomicU64::new(0),
@@ -341,14 +341,12 @@ impl Engine {
     /// Attaches a persistent [`Store`]: every run key is looked up on
     /// disk before simulating, and every fresh simulation is written
     /// back, so a key simulates once *per machine* rather than once per
-    /// process. The same store backs the other persisted layers — the
-    /// program cache (`programs` namespace) and the functional walk path
-    /// (`walks`) — so a fully-warm invocation generates and walks
-    /// nothing either.
+    /// process. The same store backs the functional walk path (`walks`)
+    /// and the scenario reports (`scenarios`). Programs and traces are
+    /// never persisted: a fully-warm invocation needs neither, so it
+    /// generates, compiles, and walks nothing.
     #[must_use]
     pub fn with_store(mut self, store: Store) -> Self {
-        self.programs.attach_store(store.backend());
-        self.traces.attach_store(store.backend());
         self.store = Some(store);
         self
     }
@@ -492,7 +490,7 @@ impl Engine {
     }
 
     /// Warm/cold traffic per persisted namespace (runs, walks,
-    /// programs). "Warm" = served from the store; "cold" = computed this
+    /// scenarios). "Warm" = served from the store; "cold" = computed this
     /// process (every request, when no store is attached).
     #[must_use]
     pub fn store_summary(&self) -> StoreSummary {
@@ -504,14 +502,6 @@ impl Engine {
             walks: NamespaceTraffic {
                 warm: self.walks_warm.load(Ordering::Relaxed),
                 cold: self.walks_cold.load(Ordering::Relaxed),
-            },
-            programs: NamespaceTraffic {
-                warm: self.programs.loaded(),
-                cold: self.programs.generated(),
-            },
-            traces: NamespaceTraffic {
-                warm: self.traces.loaded(),
-                cold: self.traces.compiled(),
             },
             scenarios: NamespaceTraffic {
                 warm: self.scenarios_warm.load(Ordering::Relaxed),
@@ -539,26 +529,20 @@ impl Engine {
         };
         match &self.store {
             Some(store) => format!(
-                "store: runs {} warm / {} cold; walks {} warm / {} cold; \
-                 programs {} warm / {} cold; traces {} warm / {} cold{} ({})",
+                "store: runs {} warm / {} cold; walks {} warm / {} cold{} ({})",
                 s.runs.warm,
                 s.runs.cold,
                 s.walks.warm,
                 s.walks.cold,
-                s.programs.warm,
-                s.programs.cold,
-                s.traces.warm,
-                s.traces.cold,
                 scen,
                 store.describe(),
             ),
             None => format!(
                 "store: disabled ({} runs simulated, {} walks measured, \
-                 {} programs generated, {} traces compiled in-process{})",
+                 {} programs generated in-process{})",
                 s.runs.cold,
                 s.walks.cold,
-                s.programs.cold,
-                s.traces.cold,
+                self.programs.generated(),
                 if s.scenarios.cold > 0 {
                     format!(", {} scenarios simulated", s.scenarios.cold)
                 } else {
@@ -584,8 +568,9 @@ impl Engine {
 
     /// The compiled binary a run key executes, memoized per
     /// [`LaidKey`]: layout (and boundary instrumentation / SoLA marking)
-    /// runs once per compilation class, not once per run.
-    fn compiled(&self, key: &RunKey) -> Arc<LaidProgram> {
+    /// runs once per compilation class, not once per run, and so does
+    /// the trace compile under [`ExecBackend::Compiled`].
+    fn binary(&self, key: &RunKey, backend: ExecBackend) -> ScenarioBinary {
         let geom = key.config().cpu.geometry;
         let laid_key: LaidKey = (
             key.profile,
@@ -593,80 +578,35 @@ impl Engine {
             compiler::wants_instrumented(key.strategy),
             key.strategy == StrategyKind::SoLA,
         );
-        if let Some(hit) = self
+        let hit = self
             .laid
             .lock()
             .expect("laid cache poisoned")
             .get(&laid_key)
-        {
-            return Arc::clone(hit);
+            .cloned();
+        let binary = hit.unwrap_or_else(|| {
+            // Compile outside the lock (layout is the expensive part); a
+            // concurrent compilation of the same class produces an
+            // identical binary, so first-insert-wins is correct.
+            let program = self.program(key.profile);
+            let fresh = Arc::new(Binary {
+                laid: Arc::new(compiler::compile_for(&program, geom, key.strategy)),
+                trace: OnceLock::new(),
+            });
+            let mut cache = self.laid.lock().expect("laid cache poisoned");
+            Arc::clone(cache.entry(laid_key).or_insert(fresh))
+        });
+        let trace = (backend == ExecBackend::Compiled).then(|| {
+            Arc::clone(
+                binary
+                    .trace
+                    .get_or_init(|| Arc::new(compile_trace(&binary.laid))),
+            )
+        });
+        ScenarioBinary {
+            laid: Arc::clone(&binary.laid),
+            trace,
         }
-        // Compile outside the lock (layout is the expensive part); a
-        // concurrent compilation of the same class produces an identical
-        // binary, so last-insert-wins is correct.
-        let program = self.program(key.profile);
-        let laid = Arc::new(compiler::compile_for(&program, geom, key.strategy));
-        let mut cache = self.laid.lock().expect("laid cache poisoned");
-        Arc::clone(cache.entry(laid_key).or_insert(laid))
-    }
-
-    /// One batched store probe covering every artifact the cold keys'
-    /// compilation classes will need — program records, and (under the
-    /// compiled backend) pre-decoded traces — with the answers primed
-    /// into the caches. The serial compile loop then resolves entirely
-    /// from primed answers: zero per-key store round trips, and nothing
-    /// at all is probed when the plan came back fully warm.
-    fn prefetch_artifacts(&self, cold: &[RunKey], backend: ExecBackend) {
-        let Some(store) = &self.store else { return };
-        if cold.is_empty() {
-            return;
-        }
-        let mut seen = HashSet::new();
-        let mut items: Vec<(String, String)> = Vec::new();
-        for key in cold {
-            let profile = self
-                .profiles
-                .iter()
-                .find(|p| p.name == key.profile)
-                .unwrap_or_else(|| panic!("unknown benchmark profile {:?}", key.profile));
-            let pkey = program_store_key(profile);
-            if seen.insert((NS_PROGRAMS, pkey.clone())) {
-                items.push((NS_PROGRAMS.to_string(), pkey));
-            }
-            if backend == ExecBackend::Compiled {
-                let tkey = trace_store_key(
-                    profile,
-                    key.config().cpu.geometry,
-                    compiler::wants_instrumented(key.strategy),
-                    key.strategy == StrategyKind::SoLA,
-                );
-                if seen.insert((NS_TRACES, tkey.clone())) {
-                    items.push((NS_TRACES.to_string(), tkey));
-                }
-            }
-        }
-        let mut values = store.backend().load_many(&items);
-        values.resize_with(items.len(), || None);
-        for ((ns, key), value) in items.into_iter().zip(values) {
-            if ns == NS_PROGRAMS {
-                self.programs.prime(key, value);
-            } else {
-                self.traces.prime(key, value);
-            }
-        }
-    }
-
-    /// The pre-decoded trace for a run key's compiled binary, memoized
-    /// per compilation class (and warm across processes through the
-    /// store's `traces` namespace).
-    fn trace_for(&self, key: &RunKey, laid: &LaidProgram) -> Arc<CompiledTrace> {
-        let profile = self
-            .profiles
-            .iter()
-            .find(|p| p.name == key.profile)
-            .unwrap_or_else(|| panic!("unknown benchmark profile {:?}", key.profile));
-        self.traces
-            .get(profile, laid, key.strategy == StrategyKind::SoLA)
     }
 
     /// The generated program for a registered profile, memoized.
@@ -753,30 +693,15 @@ impl Engine {
                 };
                 let mut resolved: Vec<(RunKey, Option<RunReport>)> =
                     claimed.iter().copied().zip(warm).collect();
-                // Prefetch the artifacts the cold keys' compilation
-                // classes will need — program records and, under the
-                // compiled backend, pre-decoded traces — in one more
-                // batched probe, primed into the caches so the compile
-                // loop below issues no per-key store round trips.
-                let backend = ExecBackend::from_env();
-                let cold: Vec<RunKey> = resolved
-                    .iter()
-                    .filter(|(_, warm)| warm.is_none())
-                    .map(|(k, _)| *k)
-                    .collect();
-                self.prefetch_artifacts(&cold, backend);
                 // Resolve compiled binaries — and, under the compiled
                 // backend, their pre-decoded traces — for the cold keys
                 // up front (serially, memoized) so parallel workers share
                 // one immutable Arc per compilation class.
-                let jobs: Vec<(RunKey, Arc<LaidProgram>, Option<Arc<CompiledTrace>>)> = cold
+                let backend = ExecBackend::from_env();
+                let jobs: Vec<(RunKey, ScenarioBinary)> = resolved
                     .iter()
-                    .map(|k| {
-                        let laid = self.compiled(k);
-                        let trace =
-                            (backend == ExecBackend::Compiled).then(|| self.trace_for(k, &laid));
-                        (*k, laid, trace)
-                    })
+                    .filter(|(_, warm)| warm.is_none())
+                    .map(|(k, _)| (*k, self.binary(k, backend)))
                     .collect();
                 // Simulate the cold keys in parallel and write each result
                 // back (a single append per record; concurrent binaries
@@ -788,19 +713,22 @@ impl Engine {
                 // published report back warm instead of re-simulating.
                 let fresh: Vec<RunReport> = jobs
                     .par_iter()
-                    .map(|(key, laid, trace)| {
+                    .map(|(key, bin)| {
                         if let Some(store) = &self.store {
                             if let RunClaim::Warm(report) = store.claim_run(key) {
                                 return *report;
                             }
                         }
-                        let report = match trace {
+                        let report = match &bin.trace {
                             Some(trace) => {
                                 Simulator::run_traced(trace, &key.config(), key.strategy, key.mode)
                             }
-                            None => {
-                                Simulator::run_interp(laid, &key.config(), key.strategy, key.mode)
-                            }
+                            None => Simulator::run_interp(
+                                &bin.laid,
+                                &key.config(),
+                                key.strategy,
+                                key.mode,
+                            ),
                         };
                         self.simulated.fetch_add(1, Ordering::Relaxed);
                         if let Some(store) = &self.store {
@@ -860,8 +788,8 @@ impl Engine {
     /// plain runs — one batched store probe up front, one batched
     /// write-back of whatever had to be simulated cold, and warm replays
     /// are byte-identical. Per-process binaries and pre-decoded traces
-    /// resolve through the same memoized compilation caches (and store
-    /// namespaces) the single-program path uses.
+    /// resolve through the same memoized compilation cache the
+    /// single-program path uses.
     ///
     /// # Panics
     ///
@@ -927,10 +855,7 @@ impl Engine {
                         if let Some(bytes) = p.page_bytes {
                             key = key.with_page_bytes(bytes);
                         }
-                        let laid = self.compiled(&key);
-                        let trace =
-                            (backend == ExecBackend::Compiled).then(|| self.trace_for(&key, &laid));
-                        ScenarioBinary { laid, trace }
+                        self.binary(&key, backend)
                     })
                     .collect();
                 cold.push((i, bins));
@@ -1017,6 +942,36 @@ mod tests {
             let serial = Simulator::run_program(&program, &key.config(), key.strategy, key.mode);
             assert_eq!(**report, serial, "{key:?}");
         }
+    }
+
+    #[test]
+    fn one_trace_per_compilation_class() {
+        let engine = Engine::new();
+        let scale = tiny();
+        let base = RunKey::new("177.mesa", &scale, StrategyKind::Base, AddressingMode::ViPt);
+        // HoA runs the same uninstrumented, unmarked binary as Base.
+        let hoa = RunKey::new("177.mesa", &scale, StrategyKind::HoA, AddressingMode::ViVt);
+        let ia = RunKey::new("177.mesa", &scale, StrategyKind::Ia, AddressingMode::ViPt);
+        // The interpreter never compiles a trace, and its binary is the
+        // one the compiled backend later traces.
+        let interp = engine.binary(&base, ExecBackend::Interp);
+        assert!(interp.trace.is_none());
+        let a = engine.binary(&base, ExecBackend::Compiled);
+        let b = engine.binary(&hoa, ExecBackend::Compiled);
+        let c = engine.binary(&ia, ExecBackend::Compiled);
+        assert!(Arc::ptr_eq(&interp.laid, &a.laid));
+        let (a, b, c) = (a.trace.unwrap(), b.trace.unwrap(), c.trace.unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "same class shares one trace");
+        assert!(!Arc::ptr_eq(&a, &c), "instrumented binary is another class");
+        assert_eq!(
+            *c,
+            compile_trace(&compiler::compile_for(
+                &engine.program("177.mesa"),
+                PageGeometry::default_4k(),
+                StrategyKind::Ia
+            ))
+        );
+        assert_eq!(engine.program_cache().generated(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::strategy::StrategyKind;
 
 /// How big to run each experiment. The paper simulated 250 M committed
 /// instructions; rates are stationary so smaller runs reproduce the same
-/// normalized results (DESIGN.md §2).
+/// normalized results.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ExperimentScale {
     /// Committed instructions per run.

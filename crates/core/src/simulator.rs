@@ -132,7 +132,7 @@ pub struct SimConfig {
     /// iTLB miss (page-walk) penalty in cycles.
     pub itlb_miss_penalty: u32,
     /// Committed instructions to simulate. The paper ran 250 M; the default
-    /// here is 1/100 of that (rates are stationary, see DESIGN.md).
+    /// here is 1/100 of that (rates are stationary).
     pub max_commits: u64,
     /// Walker seed (same seed ⇒ identical instruction stream).
     pub seed: u64,

@@ -37,8 +37,8 @@
 //! verb ([`Request::Hello`]) and upgrades only after the server lists
 //! the `binary` feature — text frames keep working forever, which is
 //! the compatibility story for protocol v1 peers and for humans with
-//! `nc`. Binary framing spares multi-MB program/trace records the text
-//! codec's header scans and re-validation on every hop.
+//! `nc`. Binary framing spares large records the text codec's header
+//! scans and re-validation on every hop.
 //!
 //! Frame payload size is bounded ([`max_frame_bytes`], default
 //! [`MAX_FRAME_BYTES`], override [`MAX_FRAME_ENV`]): a garbage length

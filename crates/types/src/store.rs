@@ -5,8 +5,9 @@
 //! reports. This module replaces that layout with a generic, namespaced
 //! artifact store every expensive layer of the stack persists into:
 //! pipeline reports (`runs`), functional walk measurements (`walks`), and
-//! generated programs (`programs`). Typed codecs live with their types;
-//! this store only moves opaque `(namespace, key) → value` record strings.
+//! multiprogrammed scenario reports (`scenarios`). Typed codecs live with
+//! their types; this store only moves opaque `(namespace, key) → value`
+//! record strings.
 //!
 //! # Layout
 //!
@@ -119,10 +120,14 @@ pub const NS_RUNS: &str = "runs";
 /// Namespace holding functional walk measurements.
 pub const NS_WALKS: &str = "walks";
 
-/// Namespace holding generated benchmark programs.
+/// Retired namespace that once held generated benchmark programs.
+/// Nothing writes it any more; records older builds left here are never
+/// read. The name stays for the store statistics that still count them.
 pub const NS_PROGRAMS: &str = "programs";
 
-/// Namespace holding pre-decoded compiled traces.
+/// Retired namespace that once held pre-decoded compiled traces.
+/// Nothing writes it any more; records older builds left here are never
+/// read. The name stays for the store statistics that still count them.
 pub const NS_TRACES: &str = "traces";
 
 /// Namespace holding multiprogrammed scenario reports
@@ -136,13 +141,13 @@ fn now_secs() -> u64 {
 }
 
 /// The namespaced `(namespace, key) → value` surface every persisted
-/// layer (run reports, walk measurements, generated programs) talks to.
+/// layer (run reports, walk measurements, scenario reports) talks to.
 ///
 /// Implemented by the on-disk [`ArtifactStore`], by the TCP
 /// [`RemoteStore`](crate::net::RemoteStore) client, and by the
 /// [`LayeredStore`](crate::net::LayeredStore) that stacks the two — so
-/// the engine, the typed run store, and the program cache select local
-/// vs. remote storage without any call-site changes.
+/// the engine and the typed run store select local vs. remote storage
+/// without any call-site changes.
 ///
 /// The contract inherited from the store itself: **every failure is a
 /// miss**. A `load` that cannot produce the exact bytes that were saved

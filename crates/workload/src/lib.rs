@@ -42,8 +42,8 @@ mod rng;
 mod walk;
 
 pub use cache::ProgramCache;
-pub use codec::{params_fingerprint, program_store_key, trace_store_key, walk_store_key};
-pub use compile::{compile_trace, CompiledTrace, DecodedInstr, TraceCache, TraceOp, TraceWalker};
+pub use codec::{params_fingerprint, walk_store_key};
+pub use compile::{compile_trace, CompiledTrace, DecodedInstr, TraceOp, TraceWalker};
 pub use generate::{generate, GeneratorParams};
 pub use isa::{BranchKind, BranchSpec, BranchTarget, DataRegion, Instruction, OpClass, RegId};
 pub use layout::{LaidProgram, Slot};

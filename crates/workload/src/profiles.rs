@@ -424,7 +424,7 @@ mod tests {
 
     /// Calibration bands: measured statistics must land within a tolerance
     /// of the paper's targets. These are the substitution's load-bearing
-    /// guarantees (DESIGN.md §2).
+    /// guarantees.
     #[test]
     fn profiles_hit_calibration_bands() {
         for p in all() {
@@ -448,8 +448,8 @@ mod tests {
                 t.analyzable_fraction
             );
             // In-page fraction is the loosest band: the synthetic CFG keeps
-            // loop bodies more page-local than real SPEC code (see
-            // DESIGN.md §2); orderings are asserted separately below.
+            // loop bodies more page-local than real SPEC code;
+            // orderings are asserted separately below.
             let ip = s.in_page_fraction();
             assert!(
                 ip >= t.in_page_fraction - 0.05 && ip < 0.99,

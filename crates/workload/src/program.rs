@@ -119,9 +119,9 @@ impl Program {
             if f.n_blocks == 0 {
                 return Err(format!("function {i} is empty"));
             }
-            // Untrusted inputs (records loaded from the persistent store)
-            // reach this check: a function table overrunning the block
-            // array must be an error, never an out-of-bounds panic.
+            // Validation exists to vet malformed programs: a function
+            // table overrunning the block array must be an error, never
+            // an out-of-bounds panic.
             expected = match f.first_block.checked_add(f.n_blocks) {
                 Some(end) if (end as usize) <= self.blocks.len() => end,
                 _ => return Err(format!("function {i} extends past the block array")),

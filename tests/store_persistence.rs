@@ -2,18 +2,20 @@
 //! second engine over the same directory (standing in for a second
 //! process) computes nothing — in *any* namespace — and reproduces
 //! bit-identical results; corruption, torn writes, format bumps, and
-//! stale codecs degrade to recomputation, never a crash; and a v1
-//! (one-file-per-key) store directory migrates transparently.
+//! stale codecs degrade to recomputation, never a crash; a v1
+//! (one-file-per-key) store directory migrates transparently; and
+//! programs and compiled traces are never persisted, while records older
+//! builds left in those retired namespaces are harmlessly ignored.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use cfr_sim::core::{
-    table2, table4, Engine, ExperimentScale, RunKey, RunReport, Store, StrategyKind,
+    fig4, table2, table4, Engine, ExperimentScale, RunKey, RunReport, Store, StrategyKind,
     STORE_FORMAT_VERSION,
 };
-use cfr_sim::types::AddressingMode;
+use cfr_sim::types::{AddressingMode, ArtifactStore, GcPolicy, NS_PROGRAMS, NS_TRACES};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cfr-store-it-{tag}-{}", std::process::id()));
@@ -79,7 +81,11 @@ fn second_engine_simulates_nothing() {
     assert_eq!(warm.store_cold_runs(), 0);
     let summary = warm.store_summary();
     assert_eq!(summary.runs.cold, 0);
-    assert_eq!(summary.programs.cold, 0, "warm runs need no programs");
+    assert_eq!(
+        warm.program_cache().generated(),
+        0,
+        "warm runs need no programs"
+    );
     for (a, b) in cold_reports.iter().zip(&warm_reports) {
         assert_eq!(**a, **b, "warm reports are bit-identical");
     }
@@ -97,8 +103,8 @@ fn table2_is_warm_on_second_run() {
     let cold_rows = table2(&cold, &scale);
     assert!(cold.simulated_runs() > 0);
     assert!(
-        cold.store_summary().programs.cold > 0,
-        "cold run generated (and persisted) programs"
+        cold.program_cache().generated() > 0,
+        "cold run generated programs"
     );
 
     let warm = Engine::new().with_store(Store::open(&dir).unwrap());
@@ -114,9 +120,10 @@ fn table2_is_warm_on_second_run() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Table 4 exercises the two non-pipeline namespaces: a cold run
-/// persists programs and walk measurements; a warm run reads the walks
-/// back — 0 cold in *every* namespace, without touching the generator.
+/// Table 4 exercises the non-pipeline `walks` namespace: a cold run
+/// generates the programs and persists walk measurements; a warm run
+/// reads the walks back — 0 cold in *every* namespace, without touching
+/// the generator.
 #[test]
 fn table4_walks_are_warm_on_second_run() {
     let dir = temp_store("table4");
@@ -130,7 +137,11 @@ fn table4_walks_are_warm_on_second_run() {
         s.walks,
         cfr_sim::core::NamespaceTraffic { warm: 0, cold: 6 }
     );
-    assert_eq!(s.programs.cold, 6, "walking required the programs");
+    assert_eq!(
+        cold.program_cache().generated(),
+        6,
+        "walking required the programs"
+    );
 
     let warm = Engine::new().with_store(Store::open(&dir).unwrap());
     let warm_rows = table4(&warm, &scale);
@@ -139,14 +150,11 @@ fn table4_walks_are_warm_on_second_run() {
         s.walks,
         cfr_sim::core::NamespaceTraffic { warm: 6, cold: 0 }
     );
+    assert_eq!(s.runs.cold, 0, "0 cold in all namespaces");
     assert_eq!(
-        (s.runs.cold, s.programs.cold),
-        (0, 0),
-        "0 cold in all namespaces"
-    );
-    assert_eq!(
-        s.programs.warm, 0,
-        "warm walks never even load the programs"
+        warm.program_cache().generated(),
+        0,
+        "warm walks never even generate the programs"
     );
     for (a, b) in cold_rows.iter().zip(&warm_rows) {
         assert_eq!(a.name, b.name);
@@ -291,6 +299,86 @@ fn storeless_engine_unchanged() {
     let summary = engine.store_summary();
     assert_eq!(summary.runs.warm, 0);
     assert_eq!(summary.walks.warm, 0);
-    assert_eq!(summary.programs.warm, 0);
+    assert_eq!(
+        engine.program_cache().generated(),
+        2,
+        "each benchmark generated once"
+    );
     assert!(engine.summary_line().starts_with("store: disabled"));
+}
+
+/// A cold pass persists results only: no record lands in the retired
+/// `programs` or `traces` namespaces, whatever the pass generated and
+/// compiled in memory.
+#[test]
+fn cold_pass_persists_no_programs_or_traces() {
+    let dir = temp_store("no-artifacts");
+    let scale = tiny();
+
+    let cold = Engine::new().with_store(Store::open(&dir).unwrap());
+    let _ = fig4(&cold, &scale);
+    let _ = table4(&cold, &scale);
+    assert!(cold.simulated_runs() > 0);
+    assert_eq!(cold.program_cache().generated(), 6);
+    drop(cold);
+
+    let store = ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap();
+    assert!(store.namespace_records("runs") > 0);
+    assert_eq!(store.namespace_records("walks"), 6);
+    assert_eq!(store.namespace_records(NS_PROGRAMS), 0);
+    assert_eq!(store.namespace_records(NS_TRACES), 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A store an older build filled — program and trace records, both
+/// well-formed and garbage — still opens; those records are never read,
+/// and a warm replay simulates and generates nothing and reproduces the
+/// cold results bit for bit.
+#[test]
+fn retired_namespace_records_are_ignored() {
+    let dir = temp_store("retired");
+    let scale = tiny();
+    {
+        let old = ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap();
+        let fp = cfr_sim::workload::params_fingerprint(&cfr_sim::workload::profiles::mesa().params);
+        old.save(
+            NS_PROGRAMS,
+            &format!("program 177.mesa {fp:016x}"),
+            "program 1 1 1 functions 1 0 1 blocks 1 1 br ret caller 0 0 - - -",
+        );
+        old.save(NS_PROGRAMS, "program 254.gap 0", "not a program");
+        old.save(
+            NS_TRACES,
+            &format!("trace 177.mesa {fp:016x} 4096 plain unmarked"),
+            "trace 4096 4194304 0 1 1 1 itargets 0 slots 1 br ret 0 0 - - -",
+        );
+        old.save(
+            NS_TRACES,
+            "trace 254.gap 0 4096 plain unmarked",
+            "not a trace",
+        );
+    }
+
+    let cold = Engine::new().with_store(Store::open(&dir).unwrap());
+    let cold_fig4 = format!("{:?}", fig4(&cold, &scale));
+    let cold_table4 = format!("{:?}", table4(&cold, &scale));
+    assert!(cold.simulated_runs() > 0);
+
+    let warm = Engine::new().with_store(Store::open(&dir).unwrap());
+    let warm_fig4 = format!("{:?}", fig4(&warm, &scale));
+    let warm_table4 = format!("{:?}", table4(&warm, &scale));
+    assert_eq!(warm.simulated_runs(), 0, "every run served warm");
+    assert_eq!(warm.store_summary().walks.cold, 0, "every walk served warm");
+    assert_eq!(warm.program_cache().generated(), 0, "no program generated");
+    // Debug formatting prints every float in its shortest exact form, so
+    // equal strings mean bit-identical rows.
+    assert_eq!(warm_fig4, cold_fig4);
+    assert_eq!(warm_table4, cold_table4);
+
+    // The old records are left as they were: read by nothing, rewritten
+    // by nothing.
+    let store = ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap();
+    assert_eq!(store.namespace_records(NS_PROGRAMS), 2);
+    assert_eq!(store.namespace_records(NS_TRACES), 2);
+    let _ = fs::remove_dir_all(&dir);
 }
