@@ -26,25 +26,26 @@
 //! on its key (the simulator is seeded, single-threaded per run, and
 //! shares nothing mutable), and the engine reassembles results in input
 //! order, so the reports are bit-identical to serial
-//! [`Simulator::run_program`] calls regardless of worker scheduling.
+//! [`Simulator::run_program`](crate::Simulator::run_program) calls
+//! regardless of worker scheduling.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 
 use cfr_types::{
     AddressingMode, PageGeometry, RecordError, RecordReader, RecordWriter, NS_SCENARIOS, NS_WALKS,
 };
 use cfr_workload::{
-    compile_trace, measure_walk, walk_store_key, BenchmarkProfile, CompiledTrace, LaidProgram,
-    Program, ProgramCache, WalkMeasurement,
+    compile_trace, measure_walk, walk_store_key, BenchmarkProfile, LaidProgram, Program,
+    ProgramCache, WalkMeasurement,
 };
 use rayon::prelude::*;
 
 use crate::compiler;
 use crate::experiment::ExperimentScale;
-use crate::scenario::{self, ScenarioBinary, ScenarioConfig, ScenarioReport};
-use crate::simulator::{ExecBackend, ItlbChoice, RunReport, SimConfig, Simulator};
+use crate::scenario::{self, ScenarioConfig, ScenarioReport};
+use crate::simulator::{ExecBackend, Executable, ItlbChoice, RunReport, SimConfig};
 use crate::store::{RunClaim, Store};
 use crate::strategy::StrategyKind;
 
@@ -53,15 +54,6 @@ use crate::strategy::StrategyKind;
 /// whether the SoLA in-page marking pass ran. Strategies within a class
 /// execute the *same* binary, so the engine compiles it once.
 type LaidKey = (&'static str, u64, bool, bool);
-
-/// One memoized compiled binary: the laid-out program, plus its
-/// pre-decoded trace once the compiled execution backend first asks for
-/// it (interpreter-only sessions never compile a trace).
-#[derive(Debug)]
-struct Binary {
-    laid: Arc<LaidProgram>,
-    trace: OnceLock<Arc<CompiledTrace>>,
-}
 
 /// The identity of one simulation run. Two runs with equal keys produce
 /// bit-identical [`RunReport`]s, which is what makes engine-level
@@ -225,11 +217,10 @@ impl RunKey {
 pub struct Engine {
     profiles: Vec<BenchmarkProfile>,
     programs: ProgramCache,
-    /// Memoized compiled binaries (layout + instrumentation + marking,
-    /// and the trace compiled from them): one compilation per
-    /// [`LaidKey`] no matter how many (strategy, mode, iTLB) runs
-    /// execute it.
-    laid: Mutex<HashMap<LaidKey, Arc<Binary>>>,
+    /// Memoized compiled binaries: one compilation per [`LaidKey`] and
+    /// backend, no matter how many (strategy, mode, iTLB) runs execute
+    /// it, holding only the artifact that backend executes.
+    binaries: Mutex<HashMap<(LaidKey, ExecBackend), Executable>>,
     state: Mutex<EngineState>,
     /// Signalled whenever results land or in-flight claims are released,
     /// so concurrent `run_many` callers waiting on another batch's keys
@@ -273,6 +264,17 @@ pub struct StoreSummary {
     /// Multiprogrammed scenario reports (`scenarios`); all zero unless
     /// [`Engine::run_scenarios`] was used.
     pub scenarios: NamespaceTraffic,
+}
+
+/// What the engine's compilation memo holds (see
+/// [`Engine::memo_counts`]): under the compiled backend only traces,
+/// under the interpreter only layouts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoCounts {
+    /// Laid-out programs (one per class the interpreter ran).
+    pub layouts: usize,
+    /// Pre-decoded traces (one per class the compiled backend ran).
+    pub traces: usize,
 }
 
 /// Result cache plus the set of keys some `run_many` call is currently
@@ -325,7 +327,7 @@ impl Engine {
         Self {
             profiles,
             programs: ProgramCache::new(),
-            laid: Mutex::new(HashMap::new()),
+            binaries: Mutex::new(HashMap::new()),
             state: Mutex::new(EngineState::default()),
             resolved: Condvar::new(),
             simulated: AtomicU64::new(0),
@@ -559,54 +561,63 @@ impl Engine {
     }
 
     /// The shared program memo, for callers that drive
-    /// [`Simulator::run_profile`] with configurations outside the
-    /// [`RunKey`] space (e.g. the iL1 and page-size sweep binaries).
+    /// [`Simulator::run_profile`](crate::Simulator::run_profile) with
+    /// configurations outside the [`RunKey`] space (e.g. the iL1 and
+    /// page-size sweep binaries).
     #[must_use]
     pub fn program_cache(&self) -> &ProgramCache {
         &self.programs
     }
 
-    /// The compiled binary a run key executes, memoized per
-    /// [`LaidKey`]: layout (and boundary instrumentation / SoLA marking)
-    /// runs once per compilation class, not once per run, and so does
-    /// the trace compile under [`ExecBackend::Compiled`].
-    fn binary(&self, key: &RunKey, backend: ExecBackend) -> ScenarioBinary {
+    /// How many layouts and traces the compilation memo holds.
+    #[must_use]
+    pub fn memo_counts(&self) -> MemoCounts {
+        let memo = self.binaries.lock().expect("binary memo poisoned");
+        let mut counts = MemoCounts::default();
+        for exe in memo.values() {
+            match exe {
+                Executable::Laid(_) => counts.layouts += 1,
+                Executable::Trace(_) => counts.traces += 1,
+            }
+        }
+        counts
+    }
+
+    /// The binary a run key executes on `backend`, memoized per
+    /// [`LaidKey`] and backend: layout (and boundary instrumentation /
+    /// SoLA marking) runs once per compilation class, not once per run.
+    /// The memo keeps only what `backend` executes — the compiled
+    /// backend's layout is traced and dropped here.
+    fn executable(&self, key: &RunKey, backend: ExecBackend) -> Executable {
         let geom = key.config().cpu.geometry;
-        let laid_key: LaidKey = (
-            key.profile,
-            geom.page_bytes(),
-            compiler::wants_instrumented(key.strategy),
-            key.strategy == StrategyKind::SoLA,
+        let memo_key: (LaidKey, ExecBackend) = (
+            (
+                key.profile,
+                geom.page_bytes(),
+                compiler::wants_instrumented(key.strategy),
+                key.strategy == StrategyKind::SoLA,
+            ),
+            backend,
         );
         let hit = self
-            .laid
+            .binaries
             .lock()
-            .expect("laid cache poisoned")
-            .get(&laid_key)
+            .expect("binary memo poisoned")
+            .get(&memo_key)
             .cloned();
-        let binary = hit.unwrap_or_else(|| {
+        hit.unwrap_or_else(|| {
             // Compile outside the lock (layout is the expensive part); a
             // concurrent compilation of the same class produces an
             // identical binary, so first-insert-wins is correct.
             let program = self.program(key.profile);
-            let fresh = Arc::new(Binary {
-                laid: Arc::new(compiler::compile_for(&program, geom, key.strategy)),
-                trace: OnceLock::new(),
-            });
-            let mut cache = self.laid.lock().expect("laid cache poisoned");
-            Arc::clone(cache.entry(laid_key).or_insert(fresh))
-        });
-        let trace = (backend == ExecBackend::Compiled).then(|| {
-            Arc::clone(
-                binary
-                    .trace
-                    .get_or_init(|| Arc::new(compile_trace(&binary.laid))),
-            )
-        });
-        ScenarioBinary {
-            laid: Arc::clone(&binary.laid),
-            trace,
-        }
+            let laid = compiler::compile_for(&program, geom, key.strategy);
+            let fresh = match backend {
+                ExecBackend::Interp => Executable::Laid(Arc::new(laid)),
+                ExecBackend::Compiled => Executable::Trace(Arc::new(compile_trace(&laid))),
+            };
+            let mut memo = self.binaries.lock().expect("binary memo poisoned");
+            memo.entry(memo_key).or_insert(fresh).clone()
+        })
     }
 
     /// The generated program for a registered profile, memoized.
@@ -649,8 +660,9 @@ impl Engine {
     ///
     /// Keys already simulated (by any earlier call) are served from the
     /// result cache; the remaining *unique* keys run in parallel. Results
-    /// are bit-identical to serial [`Simulator::run_program`] calls with
-    /// the same key, in any batch composition or order.
+    /// are bit-identical to serial
+    /// [`Simulator::run_program`](crate::Simulator::run_program) calls
+    /// with the same key, in any batch composition or order.
     ///
     /// Safe to call from several threads at once: overlapping keys are
     /// claimed atomically, so each unique key still simulates exactly
@@ -693,15 +705,14 @@ impl Engine {
                 };
                 let mut resolved: Vec<(RunKey, Option<RunReport>)> =
                     claimed.iter().copied().zip(warm).collect();
-                // Resolve compiled binaries — and, under the compiled
-                // backend, their pre-decoded traces — for the cold keys
-                // up front (serially, memoized) so parallel workers share
-                // one immutable Arc per compilation class.
+                // Resolve the cold keys' executables up front (serially,
+                // memoized) so parallel workers share one immutable Arc
+                // per compilation class.
                 let backend = ExecBackend::from_env();
-                let jobs: Vec<(RunKey, ScenarioBinary)> = resolved
+                let jobs: Vec<(RunKey, Executable)> = resolved
                     .iter()
                     .filter(|(_, warm)| warm.is_none())
-                    .map(|(k, _)| (*k, self.binary(k, backend)))
+                    .map(|(k, _)| (*k, self.executable(k, backend)))
                     .collect();
                 // Simulate the cold keys in parallel and write each result
                 // back (a single append per record; concurrent binaries
@@ -713,23 +724,13 @@ impl Engine {
                 // published report back warm instead of re-simulating.
                 let fresh: Vec<RunReport> = jobs
                     .par_iter()
-                    .map(|(key, bin)| {
+                    .map(|(key, exe)| {
                         if let Some(store) = &self.store {
                             if let RunClaim::Warm(report) = store.claim_run(key) {
                                 return *report;
                             }
                         }
-                        let report = match &bin.trace {
-                            Some(trace) => {
-                                Simulator::run_traced(trace, &key.config(), key.strategy, key.mode)
-                            }
-                            None => Simulator::run_interp(
-                                &bin.laid,
-                                &key.config(),
-                                key.strategy,
-                                key.mode,
-                            ),
-                        };
+                        let report = exe.run(&key.config(), key.strategy, key.mode);
                         self.simulated.fetch_add(1, Ordering::Relaxed);
                         if let Some(store) = &self.store {
                             store.save(key, &report);
@@ -787,9 +788,8 @@ impl Engine {
     /// processes through the `scenarios` store namespace, exactly like
     /// plain runs — one batched store probe up front, one batched
     /// write-back of whatever had to be simulated cold, and warm replays
-    /// are byte-identical. Per-process binaries and pre-decoded traces
-    /// resolve through the same memoized compilation cache the
-    /// single-program path uses.
+    /// are byte-identical. Per-process executables resolve through the
+    /// same memoized compilation cache the single-program path uses.
     ///
     /// # Panics
     ///
@@ -836,17 +836,17 @@ impl Engine {
             };
             let backend = ExecBackend::from_env();
             let mut ready: Vec<(usize, ScenarioReport)> = Vec::new();
-            let mut cold: Vec<(usize, Vec<ScenarioBinary>)> = Vec::new();
+            let mut cold: Vec<(usize, Vec<Executable>)> = Vec::new();
             for (&i, warm) in unique.iter().zip(warm.drain(..)) {
                 if let Some(rep) = warm {
                     self.scenarios_warm.fetch_add(1, Ordering::Relaxed);
                     ready.push((i, rep));
                     continue;
                 }
-                // Resolve this scenario's binaries serially (memoized per
-                // compilation class) so parallel workers share one
+                // Resolve this scenario's executables serially (memoized
+                // per compilation class) so parallel workers share one
                 // immutable Arc per binary, exactly as `run_many` does.
-                let bins: Vec<ScenarioBinary> = cfgs[i]
+                let exes: Vec<Executable> = cfgs[i]
                     .procs
                     .iter()
                     .map(|p| {
@@ -855,15 +855,15 @@ impl Engine {
                         if let Some(bytes) = p.page_bytes {
                             key = key.with_page_bytes(bytes);
                         }
-                        self.binary(&key, backend)
+                        self.executable(&key, backend)
                     })
                     .collect();
-                cold.push((i, bins));
+                cold.push((i, exes));
             }
             let fresh: Vec<(usize, ScenarioReport)> = cold
                 .par_iter()
-                .map(|(i, bins)| {
-                    let rep = scenario::simulate(&cfgs[*i], bins, backend);
+                .map(|(i, exes)| {
+                    let rep = scenario::run(&cfgs[*i], exes);
                     self.scenarios_cold.fetch_add(1, Ordering::Relaxed);
                     (*i, rep)
                 })
@@ -902,6 +902,7 @@ impl Default for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::Simulator;
 
     fn tiny() -> ExperimentScale {
         ExperimentScale {
@@ -952,15 +953,16 @@ mod tests {
         // HoA runs the same uninstrumented, unmarked binary as Base.
         let hoa = RunKey::new("177.mesa", &scale, StrategyKind::HoA, AddressingMode::ViVt);
         let ia = RunKey::new("177.mesa", &scale, StrategyKind::Ia, AddressingMode::ViPt);
-        // The interpreter never compiles a trace, and its binary is the
-        // one the compiled backend later traces.
-        let interp = engine.binary(&base, ExecBackend::Interp);
-        assert!(interp.trace.is_none());
-        let a = engine.binary(&base, ExecBackend::Compiled);
-        let b = engine.binary(&hoa, ExecBackend::Compiled);
-        let c = engine.binary(&ia, ExecBackend::Compiled);
-        assert!(Arc::ptr_eq(&interp.laid, &a.laid));
-        let (a, b, c) = (a.trace.unwrap(), b.trace.unwrap(), c.trace.unwrap());
+        let trace = |key: &RunKey| match engine.executable(key, ExecBackend::Compiled) {
+            Executable::Trace(t) => t,
+            Executable::Laid(_) => panic!("the compiled backend executes a trace"),
+        };
+        let laid = |key: &RunKey| match engine.executable(key, ExecBackend::Interp) {
+            Executable::Laid(l) => l,
+            Executable::Trace(_) => panic!("the interpreter executes a layout"),
+        };
+        // Compiled callers of one class share one trace.
+        let (a, b, c) = (trace(&base), trace(&hoa), trace(&ia));
         assert!(Arc::ptr_eq(&a, &b), "same class shares one trace");
         assert!(!Arc::ptr_eq(&a, &c), "instrumented binary is another class");
         assert_eq!(
@@ -971,6 +973,21 @@ mod tests {
                 StrategyKind::Ia
             ))
         );
+        // Compiled-only classes retain no layout.
+        let traced_only = MemoCounts {
+            layouts: 0,
+            traces: 2,
+        };
+        assert_eq!(engine.memo_counts(), traced_only);
+        // Interpreter callers of one class share one layout, and never
+        // build a trace.
+        let (x, y) = (laid(&base), laid(&hoa));
+        assert!(Arc::ptr_eq(&x, &y), "same class shares one layout");
+        let both = MemoCounts {
+            layouts: 1,
+            traces: 2,
+        };
+        assert_eq!(engine.memo_counts(), both);
         assert_eq!(engine.program_cache().generated(), 1);
     }
 

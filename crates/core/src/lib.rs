@@ -77,7 +77,7 @@ pub use cfr_types::store::{
     DEFAULT_STORE_DIR, LOCK_FILE_NAME, NS_PROGRAMS, NS_RUNS, NS_SCENARIOS, NS_TRACES, NS_WALKS,
     SHARD_COUNT, STORE_DIR_ENV, STORE_FORMAT_VERSION, STORE_MAX_AGE_ENV, STORE_MAX_BYTES_ENV,
 };
-pub use engine::{Engine, NamespaceTraffic, RunKey, StoreSummary};
+pub use engine::{Engine, MemoCounts, NamespaceTraffic, RunKey, StoreSummary};
 pub use experiment::{
     fig4, fig5, fig6, table2, table3, table4, table5, table6, table6_itlbs, table7, table8,
     ExperimentScale, Fig4Row, Fig6Row, Table2Row, Table3Row, Table4Row, Table6Row, Table8Row,

@@ -35,7 +35,7 @@ use cfr_types::{AddressingMode, PageGeometry, RecordError, RecordReader, RecordW
 use cfr_workload::{CompiledTrace, LaidProgram};
 
 use crate::experiment::ExperimentScale;
-use crate::simulator::{ExecBackend, RunReport, SimConfig};
+use crate::simulator::{ExecBackend, Executable, RunReport, SimConfig};
 use crate::strategy::{Strategy, StrategyKind};
 
 /// How the shared TLBs (iTLB and dTLB) survive a context switch.
@@ -275,8 +275,9 @@ fn read_u16(r: &mut RecordReader<'_>, what: &str) -> Result<u16, RecordError> {
     u16::try_from(v).map_err(|_| RecordError::new(format!("{what} {v} out of range")))
 }
 
-/// The executable artifacts of one scenario process, resolved by the
-/// caller (the [`crate::Engine`] memoizes them across scenarios and runs).
+/// The executable artifacts of one scenario process, resolved by a
+/// [`simulate`] caller (the [`crate::Engine`] instead memoizes, per
+/// compilation class, only the artifact its backend executes).
 #[derive(Clone, Debug)]
 pub struct ScenarioBinary {
     /// The laid-out, instrumented program.
@@ -453,11 +454,29 @@ pub fn simulate(
     bins: &[ScenarioBinary],
     backend: ExecBackend,
 ) -> ScenarioReport {
+    let procs: Vec<Executable> = bins
+        .iter()
+        .map(|bin| match backend {
+            ExecBackend::Interp => Executable::Laid(Arc::clone(&bin.laid)),
+            ExecBackend::Compiled => Executable::Trace(Arc::clone(
+                bin.trace
+                    .as_ref()
+                    .expect("compiled backend needs a pre-decoded trace per process"),
+            )),
+        })
+        .collect();
+    run(cfg, &procs)
+}
+
+/// [`simulate`] over one executable per process, each run on the backend
+/// its kind selects — the entry point the [`crate::Engine`] calls with its
+/// memoized artifacts.
+pub(crate) fn run(cfg: &ScenarioConfig, procs: &[Executable]) -> ScenarioReport {
     assert!(
         !cfg.procs.is_empty(),
         "a scenario needs at least one process"
     );
-    assert_eq!(bins.len(), cfg.procs.len(), "one binary per process");
+    assert_eq!(procs.len(), cfg.procs.len(), "one binary per process");
     assert!(cfg.asid_count >= 1, "at least one ASID");
     assert!(cfg.quantum >= 1, "a zero quantum cannot make progress");
 
@@ -465,14 +484,10 @@ pub fn simulate(
     let sims: Vec<SimConfig> = (0..n).map(|i| cfg.proc_config(i)).collect();
     let mut pipes: Vec<AnyPipeline<'_>> = sims
         .iter()
-        .zip(bins)
-        .map(|(sim, bin)| match backend {
-            ExecBackend::Interp => AnyPipeline::Interp(Pipeline::new(&bin.laid, sim.cpu, sim.seed)),
-            ExecBackend::Compiled => {
-                let trace = bin
-                    .trace
-                    .as_deref()
-                    .expect("compiled backend needs a pre-decoded trace per process");
+        .zip(procs)
+        .map(|(sim, exe)| match exe {
+            Executable::Laid(laid) => AnyPipeline::Interp(Pipeline::new(laid, sim.cpu, sim.seed)),
+            Executable::Trace(trace) => {
                 AnyPipeline::Compiled(Pipeline::compiled(trace, sim.cpu, sim.seed))
             }
         })

@@ -1,10 +1,14 @@
 //! End-to-end simulation: program → compiler → pipeline → report.
 
+use std::sync::Arc;
+
 use cfr_cpu::{CpuConfig, CpuStats, ExecutionBackend, Pipeline};
 use cfr_energy::{EnergyMeter, EnergyModel};
 use cfr_mem::{TlbConfig, TlbStats, TwoLevelTlb};
 use cfr_types::{AddressingMode, RecordError, RecordReader, RecordWriter, TlbOrganization};
-use cfr_workload::{compile_trace, BenchmarkProfile, CompiledTrace, Program, ProgramCache};
+use cfr_workload::{
+    compile_trace, BenchmarkProfile, CompiledTrace, LaidProgram, Program, ProgramCache,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::compiler;
@@ -46,6 +50,31 @@ impl ExecBackend {
         match self {
             ExecBackend::Compiled => "compiled",
             ExecBackend::Interp => "interp",
+        }
+    }
+}
+
+/// The one artifact a backend executes for a compiled binary — what the
+/// [`crate::Engine`] memoizes per compilation class.
+#[derive(Clone, Debug)]
+pub(crate) enum Executable {
+    /// The laid-out program, run by the reference interpreter.
+    Laid(Arc<LaidProgram>),
+    /// The pre-decoded trace, run by the compiled backend.
+    Trace(Arc<CompiledTrace>),
+}
+
+impl Executable {
+    /// Runs this binary to completion on the backend its kind selects.
+    pub(crate) fn run(
+        &self,
+        cfg: &SimConfig,
+        kind: StrategyKind,
+        mode: AddressingMode,
+    ) -> RunReport {
+        match self {
+            Executable::Laid(laid) => Simulator::run_interp(laid, cfg, kind, mode),
+            Executable::Trace(trace) => Simulator::run_traced(trace, cfg, kind, mode),
         }
     }
 }
@@ -265,7 +294,7 @@ impl Simulator {
     /// directly.
     #[must_use]
     pub fn run_compiled(
-        laid: &cfr_workload::LaidProgram,
+        laid: &LaidProgram,
         cfg: &SimConfig,
         kind: StrategyKind,
         mode: AddressingMode,
@@ -283,7 +312,7 @@ impl Simulator {
     /// regardless of `$CFR_BACKEND`.
     #[must_use]
     pub fn run_interp(
-        laid: &cfr_workload::LaidProgram,
+        laid: &LaidProgram,
         cfg: &SimConfig,
         kind: StrategyKind,
         mode: AddressingMode,

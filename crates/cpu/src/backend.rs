@@ -185,8 +185,8 @@ impl ExecutionBackend for InterpBackend<'_> {
     }
 }
 
-/// The pre-decoded backend: flat per-slot metadata copied straight out of
-/// a [`CompiledTrace`], stepped by its [`TraceWalker`].
+/// The pre-decoded backend: flat per-slot metadata unpacked from a
+/// [`CompiledTrace`], stepped by its [`TraceWalker`].
 pub struct CompiledBackend<'t> {
     trace: &'t CompiledTrace,
     walker: TraceWalker<'t>,
@@ -222,12 +222,12 @@ impl ExecutionBackend for CompiledBackend<'_> {
 
     #[inline]
     fn page_of(&self, slot: usize) -> u64 {
-        self.trace.decoded[slot].page
+        self.trace.page_of(slot)
     }
 
     #[inline]
     fn decoded(&self, slot: usize) -> DecodedInstr {
-        self.trace.decoded[slot]
+        self.trace.decoded(slot)
     }
 
     #[inline]

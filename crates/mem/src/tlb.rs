@@ -175,8 +175,9 @@ pub struct Tlb {
     /// `sets - 1` when the set count is a power of two (the common case),
     /// letting [`Tlb::set_of`] mask instead of divide.
     set_mask: Option<u64>,
-    /// Indices into `entries` of the most recently hit (or refilled)
-    /// entries, most recent first; [`NO_MRU`] marks unused slots.
+    /// Way indices (into the parallel `keys`/`lru`/`pfns`/`prots` rows)
+    /// of the most recently hit (or refilled) entries, most recent first;
+    /// [`NO_MRU`] marks unused slots.
     mru: [usize; MRU_SLOTS],
     /// Current address-space id, pre-shifted to [`ASID_SHIFT`] and OR-ed
     /// into every key compare and store. 0 (the default) reproduces the

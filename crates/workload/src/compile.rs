@@ -4,11 +4,16 @@
 //! the interpreting pipeline re-inspects `Instruction` structs — branch
 //! spec enums, operand options, region lookups — on every fetch of every
 //! cycle. This module compiles a laid-out program **once** into a
-//! [`CompiledTrace`]: two flat per-slot arrays ([`DecodedInstr`] for the
-//! fetch/decode metadata, [`TraceOp`] for the architectural semantics)
-//! with every branch target pre-resolved to a slot index, every data
-//! region pre-folded to its concrete page/array, and every slot's virtual
-//! page number pre-computed.
+//! [`CompiledTrace`]: two flat per-slot arrays — a packed decode record
+//! (class, operand registers, in-page and boundary bits, at most 8 bytes)
+//! for the fetch/decode metadata and a [`TraceOp`] for the architectural
+//! semantics — with every branch target pre-resolved to a slot index and
+//! every data region pre-folded to its concrete page/array. The rest of a
+//! slot's [`DecodedInstr`] is derived on read by
+//! [`CompiledTrace::decoded`]: the latency from the class, the virtual
+//! page from the slot address, and the exact [`BranchKind`] (taken bias
+//! included) from the slot's `TraceOp`, whose branch variants map
+//! one-to-one onto the branch kinds.
 //!
 //! [`TraceWalker`] replays a trace with **bit-identical** behaviour to
 //! [`Walker`](crate::walk::Walker): the same RNG draws in the same order,
@@ -16,8 +21,9 @@
 //! The golden-output suite holds both backends to the same recorded
 //! reports, so the trace is an optimization, never a second model.
 //!
-//! Traces live only in memory, memoized by the engine next to the
-//! laid-out program they were compiled from.
+//! Traces live only in memory. Under the compiled backend the engine
+//! memoizes one trace per compilation class and drops the laid-out
+//! program it was compiled from.
 
 use cfr_types::{PageGeometry, VirtAddr, INSTRUCTION_BYTES};
 use serde::{Deserialize, Serialize};
@@ -52,6 +58,40 @@ pub struct DecodedInstr {
     pub boundary: bool,
     /// Virtual page number of this slot's address.
     pub page: u64,
+}
+
+/// Register field value meaning "no register" in a [`PackedDecode`]
+/// (architectural registers are `0..RegId::COUNT`).
+const NO_REG: u8 = u8::MAX;
+/// [`PackedDecode::flags`] bit: the SoLA in-page bit.
+const IN_PAGE_HINT: u8 = 1 << 0;
+/// [`PackedDecode::flags`] bit: a compiler-inserted page-boundary branch.
+const BOUNDARY: u8 = 1 << 1;
+
+/// What a [`CompiledTrace`] stores per slot of a [`DecodedInstr`]: only
+/// the fields neither the slot's address nor its [`TraceOp`] determines.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+struct PackedDecode {
+    class: OpClass,
+    /// Source register numbers, [`NO_REG`] for an absent operand.
+    srcs: [u8; 2],
+    /// Destination register number, [`NO_REG`] for none.
+    dst: u8,
+    /// [`IN_PAGE_HINT`] | [`BOUNDARY`].
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<PackedDecode>() <= 8);
+
+fn pack_reg(reg: Option<RegId>) -> u8 {
+    reg.map_or(NO_REG, |r| {
+        assert!(r.0 != NO_REG, "register {} collides with NO_REG", r.0);
+        r.0
+    })
+}
+
+fn unpack_reg(raw: u8) -> Option<RegId> {
+    (raw != NO_REG).then_some(RegId(raw))
 }
 
 /// The architectural semantics of one slot, with targets pre-resolved to
@@ -110,6 +150,27 @@ pub enum TraceOp {
     },
 }
 
+impl TraceOp {
+    /// The branch kind this op executes (`None` for non-branches). The
+    /// branch variants map one-to-one onto [`BranchKind`], so this is the
+    /// source instruction's exact kind, taken bias included.
+    #[inline]
+    fn branch_kind(self) -> Option<BranchKind> {
+        match self {
+            TraceOp::Plain
+            | TraceOp::MemStack
+            | TraceOp::MemGlobal { .. }
+            | TraceOp::MemHeap { .. } => None,
+            TraceOp::Cond { bias, .. } => Some(BranchKind::Conditional { taken_bias: bias }),
+            TraceOp::Jump { .. } => Some(BranchKind::Jump),
+            TraceOp::Call { .. } => Some(BranchKind::Call),
+            TraceOp::Return => Some(BranchKind::Return),
+            TraceOp::IndirectJump { .. } => Some(BranchKind::IndirectJump),
+            TraceOp::IndirectCall { .. } => Some(BranchKind::IndirectCall),
+        }
+    }
+}
+
 /// A [`LaidProgram`] compiled to flat pre-decoded arrays — the compiled
 /// execution backend's program representation.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -118,9 +179,10 @@ pub struct CompiledTrace {
     pub geom: PageGeometry,
     /// Address of slot 0.
     pub base: VirtAddr,
-    /// Per-slot fetch/decode metadata.
-    pub decoded: Vec<DecodedInstr>,
-    /// Per-slot architectural semantics (parallel to `decoded`).
+    /// Per-slot packed decode records (read through
+    /// [`CompiledTrace::decoded`]).
+    packed: Vec<PackedDecode>,
+    /// Per-slot architectural semantics (parallel to `packed`).
     pub ops: Vec<TraceOp>,
     /// Flat pool of pre-resolved indirect-branch target slots.
     pub indirect_targets: Vec<u32>,
@@ -145,7 +207,7 @@ pub struct CompiledTrace {
 #[allow(clippy::cast_possible_truncation)]
 pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
     let n = laid.slots.len();
-    let mut decoded = Vec::with_capacity(n);
+    let mut packed = Vec::with_capacity(n);
     let mut ops = Vec::with_capacity(n);
     let mut indirect_targets = Vec::new();
     for (slot, s) in laid.slots.iter().enumerate() {
@@ -203,22 +265,25 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
             OpClass::IntAlu | OpClass::IntMul | OpClass::FpAlu | OpClass::FpMul => TraceOp::Plain,
         };
         let spec = instr.branch.as_ref();
-        decoded.push(DecodedInstr {
+        let mut flags = 0;
+        if spec.is_some_and(|s| s.in_page_hint) {
+            flags |= IN_PAGE_HINT;
+        }
+        if spec.is_some_and(|s| s.boundary) {
+            flags |= BOUNDARY;
+        }
+        packed.push(PackedDecode {
             class: instr.class,
-            srcs: instr.srcs,
-            dst: instr.dst,
-            latency: instr.latency(),
-            branch: spec.map(|s| s.kind),
-            in_page_hint: spec.is_some_and(|s| s.in_page_hint),
-            boundary: spec.is_some_and(|s| s.boundary),
-            page: laid.geom.vpn(laid.addr_of(slot)).raw(),
+            srcs: instr.srcs.map(pack_reg),
+            dst: pack_reg(instr.dst),
+            flags,
         });
         ops.push(op);
     }
     CompiledTrace {
         geom: laid.geom,
         base: laid.base,
-        decoded,
+        packed,
         ops,
         indirect_targets,
         instrumented: laid.instrumented,
@@ -233,13 +298,39 @@ impl CompiledTrace {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.decoded.len()
+        self.packed.len()
     }
 
     /// Whether the trace has no slots (never true for a valid trace).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.decoded.is_empty()
+        self.packed.is_empty()
+    }
+
+    /// Virtual page number of slot `slot`'s address.
+    #[inline]
+    #[must_use]
+    pub fn page_of(&self, slot: usize) -> u64 {
+        self.geom.vpn(self.addr_of(slot)).raw()
+    }
+
+    /// The fetch/decode metadata of slot `slot`, reassembled from its
+    /// packed record, its [`TraceOp`], and its address — field-for-field
+    /// what decoding the source instruction yields.
+    #[inline]
+    #[must_use]
+    pub fn decoded(&self, slot: usize) -> DecodedInstr {
+        let p = self.packed[slot];
+        DecodedInstr {
+            class: p.class,
+            srcs: p.srcs.map(unpack_reg),
+            dst: unpack_reg(p.dst),
+            latency: p.class.latency(),
+            branch: self.ops[slot].branch_kind(),
+            in_page_hint: p.flags & IN_PAGE_HINT != 0,
+            boundary: p.flags & BOUNDARY != 0,
+            page: self.page_of(slot),
+        }
     }
 
     /// Address of slot `i`.
@@ -258,7 +349,7 @@ impl CompiledTrace {
             return None;
         }
         let idx = ((a - b) / INSTRUCTION_BYTES) as usize;
-        (idx < self.decoded.len()).then_some(idx)
+        (idx < self.packed.len()).then_some(idx)
     }
 
     /// The program's entry slot.
@@ -431,7 +522,7 @@ impl<'t> TraceWalker<'t> {
         };
 
         self.cur = next_slot;
-        let d = &t.decoded[slot];
+        let d = t.packed[slot];
         StepInfo {
             slot,
             addr,
@@ -439,7 +530,7 @@ impl<'t> TraceWalker<'t> {
             next_slot,
             branch,
             mem_addr,
-            is_boundary: d.boundary,
+            is_boundary: d.flags & BOUNDARY != 0,
         }
     }
 }
@@ -500,12 +591,29 @@ mod tests {
         for i in [0usize, 1, trace.len() - 1] {
             assert_eq!(trace.addr_of(i), laid.addr_of(i));
             assert_eq!(trace.slot_of(trace.addr_of(i)), Some(i));
-            let d = &trace.decoded[i];
+            let d = trace.decoded(i);
             let instr = &laid.slots[i].instr;
             assert_eq!(d.class, instr.class);
             assert_eq!(d.latency, instr.latency());
             assert_eq!(d.page, laid.geom.vpn(laid.addr_of(i)).raw());
         }
+        // The branch kind is rebuilt from the slot's op: it must be the
+        // source kind bit for bit, taken bias included.
+        let mut conditionals = 0;
+        for (i, s) in laid.slots.iter().enumerate() {
+            let got = trace.decoded(i).branch;
+            match (got, s.instr.branch.as_ref().map(|spec| spec.kind)) {
+                (
+                    Some(BranchKind::Conditional { taken_bias: a }),
+                    Some(BranchKind::Conditional { taken_bias: b }),
+                ) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "slot {i}");
+                    conditionals += 1;
+                }
+                (got, want) => assert_eq!(got, want, "slot {i}"),
+            }
+        }
+        assert!(conditionals > 0, "the program has conditional branches");
         assert_eq!(trace.slot_of(VirtAddr::new(trace.base.raw() - 4)), None);
         assert_eq!(trace.slot_of(trace.addr_of(trace.len())), None);
     }

@@ -47,6 +47,23 @@ pub enum OpClass {
     Branch,
 }
 
+impl OpClass {
+    /// Execution latency in cycles once issued: a function of the class
+    /// alone.
+    #[inline]
+    #[must_use]
+    pub fn latency(self) -> u32 {
+        match self {
+            OpClass::IntAlu | OpClass::Branch => 1,
+            OpClass::IntMul => 3,
+            OpClass::FpAlu => 2,
+            OpClass::FpMul => 4,
+            OpClass::Load => 1, // plus memory latency, charged by the LSQ
+            OpClass::Store => 1,
+        }
+    }
+}
+
 /// What kind of control transfer a branch performs.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum BranchKind {
@@ -305,14 +322,7 @@ impl Instruction {
     /// Execution latency in cycles once issued.
     #[must_use]
     pub fn latency(&self) -> u32 {
-        match self.class {
-            OpClass::IntAlu | OpClass::Branch => 1,
-            OpClass::IntMul => 3,
-            OpClass::FpAlu => 2,
-            OpClass::FpMul => 4,
-            OpClass::Load => 1, // plus memory latency, charged by the LSQ
-            OpClass::Store => 1,
-        }
+        self.class.latency()
     }
 }
 
