@@ -219,12 +219,13 @@ fn main() {
     }
 
     // Engine accounting goes to stderr so stdout stays a byte-stable
-    // Markdown document.
+    // Markdown document. Programs are not memoized across batches: a
+    // batch generates each benchmark it compiles for at most once.
     eprintln!(
         "engine: {} unique runs simulated across all tables/figures, \
-         {} programs generated",
+         {} programs generated (at most one per benchmark per batch)",
         engine.simulated_runs(),
-        engine.program_cache().generated()
+        engine.programs_generated()
     );
     print_store_summary(&engine);
 }

@@ -18,9 +18,14 @@
 //!    guarantee across *processes*: a key any binary on this machine has
 //!    already simulated is read back from disk,
 //! 4. the remaining cold runs execute **in parallel** (rayon), each
-//!    borrowing its benchmark's program from a shared, memoized
-//!    [`ProgramCache`], and are written back to the store, and
+//!    borrowing its compilation class's memoized executable, and are
+//!    written back to the store, and
 //! 5. results come back as cheap [`Arc`] handles in request order.
+//!
+//! Generated programs are held only while they compile: a batch resolves
+//! its executables serially, grouped by benchmark, generating each
+//! benchmark's program at most once and dropping it before the batch fans
+//! out. Between batches the engine holds no program.
 //!
 //! Parallel execution is **deterministic**: a run's outcome depends only
 //! on its key (the simulator is seeded, single-threaded per run, and
@@ -30,7 +35,7 @@
 //! regardless of worker scheduling.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use cfr_types::{
@@ -38,7 +43,7 @@ use cfr_types::{
 };
 use cfr_workload::{
     compile_trace, measure_walk, walk_store_key, BenchmarkProfile, LaidProgram, Program,
-    ProgramCache, WalkMeasurement,
+    WalkMeasurement,
 };
 use rayon::prelude::*;
 
@@ -216,7 +221,12 @@ impl RunKey {
 #[derive(Debug)]
 pub struct Engine {
     profiles: Vec<BenchmarkProfile>,
-    programs: ProgramCache,
+    /// Programs generated over the engine's life (the stderr summary's
+    /// count; 0 on a fully warm replay).
+    generated: AtomicU64,
+    /// Programs currently held by an in-progress resolution (see
+    /// [`HeldProgram`]); 0 between batches.
+    held_programs: AtomicUsize,
     /// Memoized compiled binaries: one compilation per [`LaidKey`] and
     /// backend, no matter how many (strategy, mode, iTLB) runs execute
     /// it, holding only the artifact that backend executes.
@@ -266,15 +276,55 @@ pub struct StoreSummary {
     pub scenarios: NamespaceTraffic,
 }
 
-/// What the engine's compilation memo holds (see
-/// [`Engine::memo_counts`]): under the compiled backend only traces,
-/// under the interpreter only layouts.
+/// What the engine holds for compilation (see [`Engine::memo_counts`]):
+/// under the compiled backend only traces, under the interpreter only
+/// layouts, and generated programs only while a batch compiles.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoCounts {
+    /// Generated programs held by batches still resolving executables
+    /// (0 between batches).
+    pub programs: usize,
     /// Laid-out programs (one per class the interpreter ran).
     pub layouts: usize,
     /// Pre-decoded traces (one per class the compiled backend ran).
     pub traces: usize,
+}
+
+/// The one generated program a serial resolution holds: generated on
+/// the first compilation that needs it, replaced when resolution moves on
+/// to another benchmark, and dropped with the holder.
+struct HeldProgram<'e> {
+    engine: &'e Engine,
+    held: Option<(&'static str, Program)>,
+}
+
+impl<'e> HeldProgram<'e> {
+    fn new(engine: &'e Engine) -> Self {
+        Self { engine, held: None }
+    }
+
+    /// `name`'s program, generated unless it is the one already held.
+    fn get(&mut self, name: &'static str) -> &Program {
+        if self.held.as_ref().is_none_or(|(held, _)| *held != name) {
+            self.release();
+            let program = self.engine.program(name);
+            self.engine.held_programs.fetch_add(1, Ordering::Relaxed);
+            self.held = Some((name, program));
+        }
+        &self.held.as_ref().expect("just generated").1
+    }
+
+    fn release(&mut self) {
+        if self.held.take().is_some() {
+            self.engine.held_programs.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for HeldProgram<'_> {
+    fn drop(&mut self) {
+        self.release();
+    }
 }
 
 /// Result cache plus the set of keys some `run_many` call is currently
@@ -326,7 +376,8 @@ impl Engine {
         }
         Self {
             profiles,
-            programs: ProgramCache::new(),
+            generated: AtomicU64::new(0),
+            held_programs: AtomicUsize::new(0),
             binaries: Mutex::new(HashMap::new()),
             state: Mutex::new(EngineState::default()),
             resolved: Condvar::new(),
@@ -473,8 +524,7 @@ impl Engine {
                     self.walks_warm.fetch_add(1, Ordering::Relaxed);
                     return m;
                 }
-                let program = self.programs.get(p);
-                let laid = LaidProgram::lay_out(&program, geom, false);
+                let laid = LaidProgram::lay_out(&self.program(p.name), geom, false);
                 let m = measure_walk(&laid, scale.max_commits, scale.seed);
                 self.walks_cold.fetch_add(1, Ordering::Relaxed);
                 let mut w = RecordWriter::new();
@@ -544,7 +594,7 @@ impl Engine {
                  {} programs generated in-process{})",
                 s.runs.cold,
                 s.walks.cold,
-                self.programs.generated(),
+                self.programs_generated(),
                 if s.scenarios.cold > 0 {
                     format!(", {} scenarios simulated", s.scenarios.cold)
                 } else {
@@ -560,20 +610,22 @@ impl Engine {
         &self.profiles
     }
 
-    /// The shared program memo, for callers that drive
-    /// [`Simulator::run_profile`](crate::Simulator::run_profile) with
-    /// configurations outside the [`RunKey`] space (e.g. the iL1 and
-    /// page-size sweep binaries).
+    /// How many programs this engine has generated. A batch generates
+    /// each benchmark's program at most once, and only for compilation
+    /// classes the memo lacks; a fully warm replay generates none.
     #[must_use]
-    pub fn program_cache(&self) -> &ProgramCache {
-        &self.programs
+    pub fn programs_generated(&self) -> u64 {
+        self.generated.load(Ordering::Relaxed)
     }
 
-    /// How many layouts and traces the compilation memo holds.
+    /// How many programs, layouts and traces the engine holds.
     #[must_use]
     pub fn memo_counts(&self) -> MemoCounts {
         let memo = self.binaries.lock().expect("binary memo poisoned");
-        let mut counts = MemoCounts::default();
+        let mut counts = MemoCounts {
+            programs: self.held_programs.load(Ordering::Relaxed),
+            ..MemoCounts::default()
+        };
         for exe in memo.values() {
             match exe {
                 Executable::Laid(_) => counts.layouts += 1,
@@ -583,12 +635,34 @@ impl Engine {
         counts
     }
 
+    /// The executables `keys` run on `backend`, in key order. Keys are
+    /// resolved grouped by benchmark, so each benchmark's program is
+    /// generated at most once and only one program is held at a time; it
+    /// is dropped before this returns.
+    fn executables(&self, keys: &[RunKey], backend: ExecBackend) -> Vec<Executable> {
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&i| keys[i].profile);
+        let mut program = HeldProgram::new(self);
+        let mut resolved: Vec<(usize, Executable)> = order
+            .into_iter()
+            .map(|i| (i, self.executable(&keys[i], backend, &mut program)))
+            .collect();
+        resolved.sort_by_key(|&(i, _)| i);
+        resolved.into_iter().map(|(_, exe)| exe).collect()
+    }
+
     /// The binary a run key executes on `backend`, memoized per
     /// [`LaidKey`] and backend: layout (and boundary instrumentation /
-    /// SoLA marking) runs once per compilation class, not once per run.
+    /// SoLA marking) runs once per compilation class, not once per run,
+    /// and only a memo miss asks `program` for the benchmark's program.
     /// The memo keeps only what `backend` executes — the compiled
     /// backend's layout is traced and dropped here.
-    fn executable(&self, key: &RunKey, backend: ExecBackend) -> Executable {
+    fn executable(
+        &self,
+        key: &RunKey,
+        backend: ExecBackend,
+        program: &mut HeldProgram<'_>,
+    ) -> Executable {
         let geom = key.config().cpu.geometry;
         let memo_key: (LaidKey, ExecBackend) = (
             (
@@ -609,8 +683,7 @@ impl Engine {
             // Compile outside the lock (layout is the expensive part); a
             // concurrent compilation of the same class produces an
             // identical binary, so first-insert-wins is correct.
-            let program = self.program(key.profile);
-            let laid = compiler::compile_for(&program, geom, key.strategy);
+            let laid = compiler::compile_for(program.get(key.profile), geom, key.strategy);
             let fresh = match backend {
                 ExecBackend::Interp => Executable::Laid(Arc::new(laid)),
                 ExecBackend::Compiled => Executable::Trace(Arc::new(compile_trace(&laid))),
@@ -620,19 +693,21 @@ impl Engine {
         })
     }
 
-    /// The generated program for a registered profile, memoized.
+    /// A freshly generated program for a registered profile (counted by
+    /// [`Engine::programs_generated`]; the engine keeps no copy).
     ///
     /// # Panics
     ///
     /// Panics if `name` is not a registered profile.
     #[must_use]
-    pub fn program(&self, name: &str) -> Arc<Program> {
+    pub fn program(&self, name: &str) -> Program {
         let profile = self
             .profiles
             .iter()
             .find(|p| p.name == name)
             .unwrap_or_else(|| panic!("unknown benchmark profile {name:?}"));
-        self.programs.get(profile)
+        self.generated.fetch_add(1, Ordering::Relaxed);
+        profile.generate()
     }
 
     /// How many simulations have actually executed. Without a store,
@@ -707,13 +782,15 @@ impl Engine {
                     claimed.iter().copied().zip(warm).collect();
                 // Resolve the cold keys' executables up front (serially,
                 // memoized) so parallel workers share one immutable Arc
-                // per compilation class.
-                let backend = ExecBackend::from_env();
-                let jobs: Vec<(RunKey, Executable)> = resolved
+                // per compilation class, and no program outlives the
+                // resolution.
+                let cold: Vec<RunKey> = resolved
                     .iter()
                     .filter(|(_, warm)| warm.is_none())
-                    .map(|(k, _)| (*k, self.executable(k, backend)))
+                    .map(|(k, _)| *k)
                     .collect();
+                let exes = self.executables(&cold, ExecBackend::from_env());
+                let jobs: Vec<(RunKey, Executable)> = cold.into_iter().zip(exes).collect();
                 // Simulate the cold keys in parallel and write each result
                 // back (a single append per record; concurrent binaries
                 // sharing the store resync past any torn bytes and treat
@@ -834,32 +911,38 @@ impl Engine {
                 }
                 None => unique.iter().map(|_| None).collect(),
             };
-            let backend = ExecBackend::from_env();
             let mut ready: Vec<(usize, ScenarioReport)> = Vec::new();
-            let mut cold: Vec<(usize, Vec<Executable>)> = Vec::new();
+            let mut cold_ids: Vec<usize> = Vec::new();
             for (&i, warm) in unique.iter().zip(warm.drain(..)) {
-                if let Some(rep) = warm {
-                    self.scenarios_warm.fetch_add(1, Ordering::Relaxed);
-                    ready.push((i, rep));
-                    continue;
+                match warm {
+                    Some(rep) => {
+                        self.scenarios_warm.fetch_add(1, Ordering::Relaxed);
+                        ready.push((i, rep));
+                    }
+                    None => cold_ids.push(i),
                 }
-                // Resolve this scenario's executables serially (memoized
-                // per compilation class) so parallel workers share one
-                // immutable Arc per binary, exactly as `run_many` does.
-                let exes: Vec<Executable> = cfgs[i]
-                    .procs
-                    .iter()
-                    .map(|p| {
-                        let mut key =
-                            RunKey::new(p.profile, &cfgs[i].scale, cfgs[i].strategy, cfgs[i].mode);
-                        if let Some(bytes) = p.page_bytes {
-                            key = key.with_page_bytes(bytes);
-                        }
-                        self.executable(&key, backend)
-                    })
-                    .collect();
-                cold.push((i, exes));
             }
+            // Resolve every cold scenario's executables in one serial
+            // pass (memoized per compilation class) so parallel workers
+            // share one immutable Arc per binary, exactly as `run_many`
+            // does.
+            let proc_keys: Vec<RunKey> = cold_ids
+                .iter()
+                .flat_map(|&i| {
+                    let cfg = &cfgs[i];
+                    cfg.procs.iter().map(move |p| {
+                        let key = RunKey::new(p.profile, &cfg.scale, cfg.strategy, cfg.mode);
+                        p.page_bytes.map_or(key, |bytes| key.with_page_bytes(bytes))
+                    })
+                })
+                .collect();
+            let mut exes = self
+                .executables(&proc_keys, ExecBackend::from_env())
+                .into_iter();
+            let cold: Vec<(usize, Vec<Executable>)> = cold_ids
+                .into_iter()
+                .map(|i| (i, exes.by_ref().take(cfgs[i].procs.len()).collect()))
+                .collect();
             let fresh: Vec<(usize, ScenarioReport)> = cold
                 .par_iter()
                 .map(|(i, exes)| {
@@ -903,6 +986,7 @@ impl Default for Engine {
 mod tests {
     use super::*;
     use crate::simulator::Simulator;
+    use cfr_workload::CompiledTrace;
 
     fn tiny() -> ExperimentScale {
         ExperimentScale {
@@ -925,8 +1009,15 @@ mod tests {
         let again = engine.run(a);
         assert_eq!(engine.simulated_runs(), 2);
         assert!(Arc::ptr_eq(&again, &reports[0]));
-        // Each benchmark's program was generated once.
-        assert_eq!(engine.program_cache().generated(), 1);
+        // At most one generation per benchmark per batch: the first batch
+        // generated mesa's program once for both classes, and the fully
+        // memoized second batch generated nothing.
+        assert!(engine.programs_generated() <= 1);
+        assert_eq!(
+            engine.memo_counts().programs,
+            0,
+            "no program outlives a batch"
+        );
     }
 
     #[test]
@@ -953,42 +1044,62 @@ mod tests {
         // HoA runs the same uninstrumented, unmarked binary as Base.
         let hoa = RunKey::new("177.mesa", &scale, StrategyKind::HoA, AddressingMode::ViVt);
         let ia = RunKey::new("177.mesa", &scale, StrategyKind::Ia, AddressingMode::ViPt);
-        let trace = |key: &RunKey| match engine.executable(key, ExecBackend::Compiled) {
-            Executable::Trace(t) => t,
-            Executable::Laid(_) => panic!("the compiled backend executes a trace"),
+        let traces = |keys: &[RunKey]| -> Vec<Arc<CompiledTrace>> {
+            engine
+                .executables(keys, ExecBackend::Compiled)
+                .into_iter()
+                .map(|exe| match exe {
+                    Executable::Trace(t) => t,
+                    Executable::Laid(_) => panic!("the compiled backend executes a trace"),
+                })
+                .collect()
         };
-        let laid = |key: &RunKey| match engine.executable(key, ExecBackend::Interp) {
-            Executable::Laid(l) => l,
-            Executable::Trace(_) => panic!("the interpreter executes a layout"),
+        let laids = |keys: &[RunKey]| -> Vec<Arc<LaidProgram>> {
+            engine
+                .executables(keys, ExecBackend::Interp)
+                .into_iter()
+                .map(|exe| match exe {
+                    Executable::Laid(l) => l,
+                    Executable::Trace(_) => panic!("the interpreter executes a layout"),
+                })
+                .collect()
         };
         // Compiled callers of one class share one trace.
-        let (a, b, c) = (trace(&base), trace(&hoa), trace(&ia));
-        assert!(Arc::ptr_eq(&a, &b), "same class shares one trace");
-        assert!(!Arc::ptr_eq(&a, &c), "instrumented binary is another class");
+        let t = traces(&[base, hoa, ia]);
+        assert!(Arc::ptr_eq(&t[0], &t[1]), "same class shares one trace");
+        assert!(
+            !Arc::ptr_eq(&t[0], &t[2]),
+            "instrumented binary is another class"
+        );
         assert_eq!(
-            *c,
+            *t[2],
             compile_trace(&compiler::compile_for(
-                &engine.program("177.mesa"),
+                &cfr_workload::profiles::mesa().generate(),
                 PageGeometry::default_4k(),
                 StrategyKind::Ia
             ))
         );
-        // Compiled-only classes retain no layout.
+        // Compiled-only classes retain no layout, and the batch dropped
+        // the program it compiled from.
         let traced_only = MemoCounts {
+            programs: 0,
             layouts: 0,
             traces: 2,
         };
         assert_eq!(engine.memo_counts(), traced_only);
         // Interpreter callers of one class share one layout, and never
         // build a trace.
-        let (x, y) = (laid(&base), laid(&hoa));
-        assert!(Arc::ptr_eq(&x, &y), "same class shares one layout");
+        let l = laids(&[base, hoa]);
+        assert!(Arc::ptr_eq(&l[0], &l[1]), "same class shares one layout");
         let both = MemoCounts {
+            programs: 0,
             layouts: 1,
             traces: 2,
         };
         assert_eq!(engine.memo_counts(), both);
-        assert_eq!(engine.program_cache().generated(), 1);
+        // At most one generation per benchmark per batch: two batches
+        // over one benchmark.
+        assert!(engine.programs_generated() <= 2);
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! they need as [`RunKey`]s — *(benchmark, scale, strategy, mode, iTLB)* —
 //! and hand them to an [`Engine`], which
 //!
-//! - **memoizes program generation**: each benchmark's synthetic program is
-//!   generated once per engine and shared via `Arc`
-//!   (`cfr_workload::ProgramCache`),
+//! - **memoizes compilation**: each compilation class is compiled once
+//!   per engine and shared via `Arc`; a benchmark's synthetic program is
+//!   generated at most once per batch and dropped once its classes are
+//!   compiled,
 //! - **deduplicates runs**: identical keys — within a batch, across
 //!   batches, and across experiments sharing the engine — simulate exactly
 //!   once, and

@@ -6,9 +6,7 @@ use cfr_cpu::{CpuConfig, CpuStats, ExecutionBackend, Pipeline};
 use cfr_energy::{EnergyMeter, EnergyModel};
 use cfr_mem::{TlbConfig, TlbStats, TwoLevelTlb};
 use cfr_types::{AddressingMode, RecordError, RecordReader, RecordWriter, TlbOrganization};
-use cfr_workload::{
-    compile_trace, BenchmarkProfile, CompiledTrace, LaidProgram, Program, ProgramCache,
-};
+use cfr_workload::{compile_trace, CompiledTrace, LaidProgram, Program};
 use serde::{Deserialize, Serialize};
 
 use crate::compiler;
@@ -369,21 +367,6 @@ impl Simulator {
             breakdown: strategy.breakdown(),
             cpu: stats,
         }
-    }
-
-    /// Runs `profile`'s program, borrowing it from `programs` — the
-    /// program is generated at most once per cache, no matter how many
-    /// (strategy, mode, iTLB) combinations run over it.
-    #[must_use]
-    pub fn run_profile(
-        profile: &BenchmarkProfile,
-        programs: &ProgramCache,
-        cfg: &SimConfig,
-        kind: StrategyKind,
-        mode: AddressingMode,
-    ) -> RunReport {
-        let program = programs.get(profile);
-        Self::run_program(&program, cfg, kind, mode)
     }
 }
 

@@ -5,15 +5,17 @@
 //! spec enums, operand options, region lookups — on every fetch of every
 //! cycle. This module compiles a laid-out program **once** into a
 //! [`CompiledTrace`]: two flat per-slot arrays — a packed decode record
-//! (class, operand registers, in-page and boundary bits, at most 8 bytes)
-//! for the fetch/decode metadata and a [`TraceOp`] for the architectural
+//! (class, operand registers, in-page and boundary bits, 5 bytes) for the
+//! fetch/decode metadata and an 8-byte [`TraceOp`] for the architectural
 //! semantics — with every branch target pre-resolved to a slot index and
-//! every data region pre-folded to its concrete page/array. The rest of a
-//! slot's [`DecodedInstr`] is derived on read by
-//! [`CompiledTrace::decoded`]: the latency from the class, the virtual
-//! page from the slot address, and the exact [`BranchKind`] (taken bias
-//! included) from the slot's `TraceOp`, whose branch variants map
-//! one-to-one onto the branch kinds.
+//! every data region pre-folded to its concrete page/array. Conditional
+//! branches keep their bias and target in a per-trace [`CondSite`] pool
+//! and indirect branches their candidates in a target pool, so neither
+//! widens the per-slot op. The rest of a slot's [`DecodedInstr`] is
+//! derived on read by [`CompiledTrace::decoded`]: the latency from the
+//! class, the virtual page from the slot address, and the exact
+//! [`BranchKind`] (taken bias included) from the slot's `TraceOp`, whose
+//! branch variants map one-to-one onto the branch kinds.
 //!
 //! [`TraceWalker`] replays a trace with **bit-identical** behaviour to
 //! [`Walker`](crate::walk::Walker): the same RNG draws in the same order,
@@ -96,7 +98,9 @@ fn unpack_reg(raw: u8) -> Option<RegId> {
 
 /// The architectural semantics of one slot, with targets pre-resolved to
 /// slot indices and data regions pre-folded to their concrete page/array.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+/// At most 8 bytes: a conditional branch's bias and target live in the
+/// trace's [`CondSite`] pool, indirect candidates in its target pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceOp {
     /// Falls through to `slot + 1`; no RNG, no memory.
     Plain,
@@ -105,19 +109,17 @@ pub enum TraceOp {
     /// Global access to the (pre-folded) global page index.
     MemGlobal {
         /// Global page index, already reduced modulo the page count.
-        page: u64,
+        page: u32,
     },
     /// Heap access walking the (pre-folded) array's cursor.
     MemHeap {
         /// Heap array index, already reduced modulo the array count.
         array: u32,
     },
-    /// Conditional branch: taken with probability `bias`.
+    /// Conditional branch: taken with its site's bias.
     Cond {
-        /// Per-site taken probability.
-        bias: f64,
-        /// Taken-target slot.
-        target: u32,
+        /// Index of the branch's entry in [`CompiledTrace::cond_sites`].
+        site: u32,
     },
     /// Unconditional direct jump (boundary branches' `NextSlot` targets
     /// are resolved to `slot + 1` at compile time).
@@ -138,7 +140,7 @@ pub enum TraceOp {
         /// First candidate index in [`CompiledTrace::indirect_targets`].
         start: u32,
         /// Number of candidates.
-        count: u32,
+        count: u16,
     },
     /// Indirect call: pushes a return slot like [`TraceOp::Call`], then
     /// picks a candidate like [`TraceOp::IndirectJump`].
@@ -146,22 +148,37 @@ pub enum TraceOp {
         /// First candidate index in [`CompiledTrace::indirect_targets`].
         start: u32,
         /// Number of candidates.
-        count: u32,
+        count: u16,
     },
 }
 
+const _: () = assert!(std::mem::size_of::<TraceOp>() <= 8);
+
+/// A conditional branch's per-site data, out of line so [`TraceOp`]
+/// stays 8 bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CondSite {
+    /// Per-site taken probability.
+    pub bias: f64,
+    /// Taken-target slot.
+    pub target: u32,
+}
+
 impl TraceOp {
-    /// The branch kind this op executes (`None` for non-branches). The
-    /// branch variants map one-to-one onto [`BranchKind`], so this is the
-    /// source instruction's exact kind, taken bias included.
+    /// The branch kind this op executes (`None` for non-branches), taking
+    /// a conditional's bias from `conds`. The branch variants map
+    /// one-to-one onto [`BranchKind`], so this is the source instruction's
+    /// exact kind, taken bias included.
     #[inline]
-    fn branch_kind(self) -> Option<BranchKind> {
+    fn branch_kind(self, conds: &[CondSite]) -> Option<BranchKind> {
         match self {
             TraceOp::Plain
             | TraceOp::MemStack
             | TraceOp::MemGlobal { .. }
             | TraceOp::MemHeap { .. } => None,
-            TraceOp::Cond { bias, .. } => Some(BranchKind::Conditional { taken_bias: bias }),
+            TraceOp::Cond { site } => Some(BranchKind::Conditional {
+                taken_bias: conds[site as usize].bias,
+            }),
             TraceOp::Jump { .. } => Some(BranchKind::Jump),
             TraceOp::Call { .. } => Some(BranchKind::Call),
             TraceOp::Return => Some(BranchKind::Return),
@@ -184,6 +201,8 @@ pub struct CompiledTrace {
     packed: Vec<PackedDecode>,
     /// Per-slot architectural semantics (parallel to `packed`).
     pub ops: Vec<TraceOp>,
+    /// Pool of conditional-branch sites, indexed by [`TraceOp::Cond`].
+    pub cond_sites: Vec<CondSite>,
     /// Flat pool of pre-resolved indirect-branch target slots.
     pub indirect_targets: Vec<u32>,
     /// Whether the source layout was instrumented (boundary branches).
@@ -209,6 +228,7 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
     let n = laid.slots.len();
     let mut packed = Vec::with_capacity(n);
     let mut ops = Vec::with_capacity(n);
+    let mut cond_sites = Vec::new();
     let mut indirect_targets = Vec::new();
     for (slot, s) in laid.slots.iter().enumerate() {
         let instr = &s.instr;
@@ -217,9 +237,12 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
                 let spec = instr.branch.as_ref().expect("branch has spec");
                 match (&spec.kind, &spec.target) {
                     (BranchKind::Conditional { taken_bias }, BranchTarget::Block(b)) => {
-                        TraceOp::Cond {
+                        cond_sites.push(CondSite {
                             bias: *taken_bias,
                             target: laid.block_slot(*b) as u32,
+                        });
+                        TraceOp::Cond {
+                            site: (cond_sites.len() - 1) as u32,
                         }
                     }
                     (BranchKind::Jump, BranchTarget::Block(b)) => TraceOp::Jump {
@@ -237,7 +260,7 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
                         indirect_targets.extend(ts.iter().map(|b| laid.block_slot(*b) as u32));
                         TraceOp::IndirectJump {
                             start,
-                            count: ts.len() as u32,
+                            count: indirect_count(ts.len()),
                         }
                     }
                     (BranchKind::IndirectCall, BranchTarget::Indirect(ts)) => {
@@ -245,7 +268,7 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
                         indirect_targets.extend(ts.iter().map(|b| laid.block_slot(*b) as u32));
                         TraceOp::IndirectCall {
                             start,
-                            count: ts.len() as u32,
+                            count: indirect_count(ts.len()),
                         }
                     }
                     (kind, target) => {
@@ -256,7 +279,7 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
             OpClass::Load | OpClass::Store => match instr.region.expect("memory op has a region") {
                 DataRegion::Stack => TraceOp::MemStack,
                 DataRegion::Global(g) => TraceOp::MemGlobal {
-                    page: u64::from(g) % u64::from(laid.global_pages.max(1)),
+                    page: u32::from(g) % u32::from(laid.global_pages.max(1)),
                 },
                 DataRegion::Heap(h) => TraceOp::MemHeap {
                     array: u32::from(h) % u32::from(laid.heap_arrays.max(1)),
@@ -280,17 +303,31 @@ pub fn compile_trace(laid: &LaidProgram) -> CompiledTrace {
         });
         ops.push(op);
     }
+    // The pools grew by doubling; drop the slack a memoized trace would
+    // otherwise keep for its whole life.
+    cond_sites.shrink_to_fit();
+    indirect_targets.shrink_to_fit();
     CompiledTrace {
         geom: laid.geom,
         base: laid.base,
         packed,
         ops,
+        cond_sites,
         indirect_targets,
         instrumented: laid.instrumented,
         global_pages: laid.global_pages,
         heap_arrays: laid.heap_arrays,
         heap_array_pages: laid.heap_array_pages,
     }
+}
+
+/// An indirect branch's candidate count as stored in its [`TraceOp`].
+///
+/// # Panics
+///
+/// Panics if `count` does not fit a `u16`.
+fn indirect_count(count: usize) -> u16 {
+    u16::try_from(count).unwrap_or_else(|_| panic!("{count} indirect candidates exceed u16"))
 }
 
 impl CompiledTrace {
@@ -326,7 +363,7 @@ impl CompiledTrace {
             srcs: p.srcs.map(unpack_reg),
             dst: unpack_reg(p.dst),
             latency: p.class.latency(),
-            branch: self.ops[slot].branch_kind(),
+            branch: self.ops[slot].branch_kind(&self.cond_sites),
             in_page_hint: p.flags & IN_PAGE_HINT != 0,
             boundary: p.flags & BOUNDARY != 0,
             page: self.page_of(slot),
@@ -436,7 +473,7 @@ impl<'t> TraceWalker<'t> {
             TraceOp::MemGlobal { page } => {
                 let bytes = t.geom.page_bytes();
                 let off = self.rng.below(bytes / 8) * 8;
-                mem_addr = Some(VirtAddr::new(GLOBAL_BASE + page * bytes + off));
+                mem_addr = Some(VirtAddr::new(GLOBAL_BASE + u64::from(page) * bytes + off));
                 slot + 1
             }
             TraceOp::MemHeap { array } => {
@@ -454,7 +491,8 @@ impl<'t> TraceWalker<'t> {
                 mem_addr = Some(VirtAddr::new(HEAP_BASE + array as u64 * array_bytes + *cur));
                 slot + 1
             }
-            TraceOp::Cond { bias, target } => {
+            TraceOp::Cond { site } => {
+                let CondSite { bias, target } = t.cond_sites[site as usize];
                 let (taken, next) = if self.rng.chance(bias) {
                     (true, target as usize)
                 } else {
@@ -548,24 +586,41 @@ mod tests {
 
     #[test]
     fn trace_walker_matches_walker_step_for_step() {
-        for instrumented in [false, true] {
-            let laid = small_laid(instrumented);
-            let trace = compile_trace(&laid);
-            for seed in [1u64, 0x5EED, 24301] {
-                let mut interp = Walker::new(&laid, seed);
-                let mut compiled = TraceWalker::new(&trace, seed);
-                for i in 0..20_000 {
-                    assert_eq!(
-                        interp.step(),
-                        compiled.step(),
-                        "step {i} (instrumented={instrumented}, seed={seed})"
-                    );
+        // Every paper profile, both layouts: the conditional-site pool and
+        // the indirect jumps and calls must all execute under each.
+        let mut executed = [0u64; 3];
+        for profile in crate::profiles::all() {
+            let prog = profile.generate();
+            for instrumented in [false, true] {
+                let laid = LaidProgram::lay_out(&prog, PageGeometry::default_4k(), instrumented);
+                let trace = compile_trace(&laid);
+                for seed in [1u64, 0x5EED, 24301] {
+                    let mut interp = Walker::new(&laid, seed);
+                    let mut compiled = TraceWalker::new(&trace, seed);
+                    for i in 0..50_000 {
+                        match trace.ops[compiled.current_slot()] {
+                            TraceOp::Cond { .. } => executed[0] += 1,
+                            TraceOp::IndirectJump { .. } => executed[1] += 1,
+                            TraceOp::IndirectCall { .. } => executed[2] += 1,
+                            _ => {}
+                        }
+                        assert_eq!(
+                            interp.step(),
+                            compiled.step(),
+                            "{} step {i} (instrumented={instrumented}, seed={seed})",
+                            profile.name
+                        );
+                    }
+                    assert_eq!(interp.current_slot(), compiled.current_slot());
+                    assert_eq!(interp.call_depth(), compiled.call_depth());
+                    assert_eq!(interp.steps(), compiled.steps());
                 }
-                assert_eq!(interp.current_slot(), compiled.current_slot());
-                assert_eq!(interp.call_depth(), compiled.call_depth());
-                assert_eq!(interp.steps(), compiled.steps());
             }
         }
+        assert!(
+            executed.iter().all(|&n| n > 0),
+            "conditional, indirect-jump and indirect-call steps: {executed:?}"
+        );
     }
 
     #[test]

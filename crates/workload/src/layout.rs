@@ -68,7 +68,8 @@ impl LaidProgram {
             panic!("cannot lay out invalid program: {e}");
         }
         let base = VirtAddr::new(TEXT_BASE);
-        let mut slots: Vec<Slot> = Vec::with_capacity(prog.static_instructions());
+        let mut slots: Vec<Slot> =
+            Vec::with_capacity(max_slots(prog.static_instructions(), geom, instrumented));
         let mut block_start = vec![0u32; prog.blocks.len()];
         let mut boundary_branches = 0u32;
 
@@ -173,6 +174,20 @@ impl LaidProgram {
             may_end_page(&s.instr)
         })
     }
+}
+
+/// An upper bound on the slots a layout of `n` instructions occupies:
+/// the instructions themselves plus, when instrumented, the boundary
+/// branches. A boundary branch fills a page's last slot only when a
+/// natural instruction follows it, so each page before the last holds
+/// at least `P - 1` natural instructions (`P` slots per page) and at
+/// most `(n - 1) / (P - 1)` branches are inserted.
+fn max_slots(n: usize, geom: PageGeometry, instrumented: bool) -> usize {
+    if !instrumented {
+        return n;
+    }
+    let per_page = geom.instructions_per_page() as usize;
+    n + n.saturating_sub(1) / per_page.saturating_sub(1).max(1)
 }
 
 /// Whether an instruction may legally occupy the last slot of a page in the
@@ -293,6 +308,31 @@ mod tests {
             heap_array_pages: 0,
         };
         let _ = LaidProgram::lay_out(&p, PageGeometry::default_4k(), false);
+    }
+
+    #[test]
+    fn layout_reserves_no_more_than_its_bound() {
+        // A reallocation past the reservation would double the slot
+        // vector; both layouts of a paper profile must fit the bound.
+        let prog = crate::profiles::vortex().generate();
+        let n = prog.static_instructions();
+        let geom = PageGeometry::default_4k();
+        for instrumented in [false, true] {
+            let laid = LaidProgram::lay_out(&prog, geom, instrumented);
+            let bound = max_slots(n, geom, instrumented);
+            assert_eq!(laid.slots.len(), n + laid.boundary_branches as usize);
+            assert!(laid.slots.len() <= bound, "instrumented={instrumented}");
+            assert!(
+                laid.slots.capacity() <= bound,
+                "instrumented={instrumented}: capacity {} > bound {bound}",
+                laid.slots.capacity()
+            );
+        }
+        // Every page of a straight line needs a boundary branch: the bound
+        // is tight.
+        let p = straightline(3000);
+        let laid = LaidProgram::lay_out(&p, geom, true);
+        assert_eq!(laid.slots.len(), max_slots(3001, geom, true));
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The engine's compilation memo holds exactly the artifact the active
-//! execution backend runs, and nothing else.
+//! execution backend runs, and nothing else: no generated program
+//! outlives the batch that compiled from it.
 //!
 //! A counting global allocator tracks the live heap. After a Figure 4
 //! pass (both panels: all 18 compilation classes of the six paper
 //! benchmarks) on a fresh storeless engine, the heap the engine still
-//! holds — generated programs, memoized executables, cached reports — must
-//! stay small under the compiled backend (traces only, no layouts), and
-//! under `CFR_BACKEND=interp` the memo must hold layouts and no trace.
+//! holds — memoized executables and cached reports — must stay small
+//! under the compiled backend (traces only: no program, no layout), and
+//! under `CFR_BACKEND=interp` the memo must hold layouts (reserved to
+//! their true size), no program and no trace.
 //!
 //! This file holds a single test so no concurrent test skews the count.
 
@@ -79,31 +81,44 @@ fn engine_retains_only_what_the_active_backend_executes() {
     assert_eq!(rows.len(), 12, "two panels of six benchmarks");
     drop(rows);
     let held = LIVE.load(Ordering::Relaxed).saturating_sub(before);
+    eprintln!(
+        "held after a Figure 4 pass: {:.1} MiB",
+        held as f64 / MIB as f64
+    );
     let memo = engine.memo_counts();
     match ExecBackend::from_env() {
         ExecBackend::Compiled => {
             assert_eq!(
                 memo,
                 MemoCounts {
+                    programs: 0,
                     layouts: 0,
                     traces: 18
                 },
-                "one trace per compilation class, no layout"
+                "one trace per compilation class, no program or layout"
             );
             assert!(
-                held < 64 * MIB,
+                held < 16 * MIB,
                 "the engine holds {:.1} MiB after a Figure 4 pass",
                 held as f64 / MIB as f64
             );
         }
-        ExecBackend::Interp => assert_eq!(
-            memo,
-            MemoCounts {
-                layouts: 18,
-                traces: 0
-            },
-            "the interpreter never builds a trace"
-        ),
+        ExecBackend::Interp => {
+            assert_eq!(
+                memo,
+                MemoCounts {
+                    programs: 0,
+                    layouts: 18,
+                    traces: 0
+                },
+                "the interpreter never builds a trace"
+            );
+            assert!(
+                held < 72 * MIB,
+                "the engine holds {:.1} MiB after a Figure 4 pass",
+                held as f64 / MIB as f64
+            );
+        }
     }
     drop(engine);
 }

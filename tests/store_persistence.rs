@@ -81,11 +81,7 @@ fn second_engine_simulates_nothing() {
     assert_eq!(warm.store_cold_runs(), 0);
     let summary = warm.store_summary();
     assert_eq!(summary.runs.cold, 0);
-    assert_eq!(
-        warm.program_cache().generated(),
-        0,
-        "warm runs need no programs"
-    );
+    assert_eq!(warm.programs_generated(), 0, "warm runs need no programs");
     for (a, b) in cold_reports.iter().zip(&warm_reports) {
         assert_eq!(**a, **b, "warm reports are bit-identical");
     }
@@ -102,10 +98,7 @@ fn table2_is_warm_on_second_run() {
     let cold = Engine::new().with_store(Store::open(&dir).unwrap());
     let cold_rows = table2(&cold, &scale);
     assert!(cold.simulated_runs() > 0);
-    assert!(
-        cold.program_cache().generated() > 0,
-        "cold run generated programs"
-    );
+    assert!(cold.programs_generated() > 0, "cold run generated programs");
 
     let warm = Engine::new().with_store(Store::open(&dir).unwrap());
     let warm_rows = table2(&warm, &scale);
@@ -137,10 +130,12 @@ fn table4_walks_are_warm_on_second_run() {
         s.walks,
         cfr_sim::core::NamespaceTraffic { warm: 0, cold: 6 }
     );
-    assert_eq!(
-        cold.program_cache().generated(),
-        6,
-        "walking required the programs"
+    // Walking required the programs: at most one generation per profile
+    // per batch, and the one batch of walks spans six profiles.
+    let generated = cold.programs_generated();
+    assert!(
+        (1..=6).contains(&generated),
+        "{generated} programs generated"
     );
 
     let warm = Engine::new().with_store(Store::open(&dir).unwrap());
@@ -152,7 +147,7 @@ fn table4_walks_are_warm_on_second_run() {
     );
     assert_eq!(s.runs.cold, 0, "0 cold in all namespaces");
     assert_eq!(
-        warm.program_cache().generated(),
+        warm.programs_generated(),
         0,
         "warm walks never even generate the programs"
     );
@@ -299,10 +294,12 @@ fn storeless_engine_unchanged() {
     let summary = engine.store_summary();
     assert_eq!(summary.runs.warm, 0);
     assert_eq!(summary.walks.warm, 0);
-    assert_eq!(
-        engine.program_cache().generated(),
-        2,
-        "each benchmark generated once"
+    // At most one generation per benchmark per batch: one batch over two
+    // benchmarks.
+    let generated = engine.programs_generated();
+    assert!(
+        (1..=2).contains(&generated),
+        "{generated} programs generated"
     );
     assert!(engine.summary_line().starts_with("store: disabled"));
 }
@@ -319,7 +316,14 @@ fn cold_pass_persists_no_programs_or_traces() {
     let _ = fig4(&cold, &scale);
     let _ = table4(&cold, &scale);
     assert!(cold.simulated_runs() > 0);
-    assert_eq!(cold.program_cache().generated(), 6);
+    // At most one generation per profile per batch: Figure 4 is one
+    // batch over the six profiles and Table 4 one batch of walks over
+    // the same six.
+    let generated = cold.programs_generated();
+    assert!(
+        (6..=12).contains(&generated),
+        "{generated} programs generated"
+    );
     drop(cold);
 
     let store = ArtifactStore::open(&dir, GcPolicy::unbounded()).unwrap();
@@ -369,7 +373,7 @@ fn retired_namespace_records_are_ignored() {
     let warm_table4 = format!("{:?}", table4(&warm, &scale));
     assert_eq!(warm.simulated_runs(), 0, "every run served warm");
     assert_eq!(warm.store_summary().walks.cold, 0, "every walk served warm");
-    assert_eq!(warm.program_cache().generated(), 0, "no program generated");
+    assert_eq!(warm.programs_generated(), 0, "no program generated");
     // Debug formatting prints every float in its shortest exact form, so
     // equal strings mean bit-identical rows.
     assert_eq!(warm_fig4, cold_fig4);
